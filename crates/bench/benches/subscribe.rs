@@ -4,8 +4,8 @@
 //! The claim under test: matching a subscription set against a document
 //! costs one tokenization pass plus automaton work that scales with the
 //! *shared-prefix trie*, not with the subscription count. The control
-//! runs the same N patterns as N independent `StreamMatcher` passes,
-//! each re-tokenizing the document.
+//! runs the same N patterns as N independent single-pattern streaming
+//! passes (`execute_streaming`), each re-tokenizing the document.
 //!
 //! The `disjoint` group is the honest negative: patterns with no common
 //! prefix build a wide trie whose root fan-out every element must be

@@ -5,8 +5,8 @@ use crate::explain::explain;
 use std::sync::Arc;
 use xqr_compiler::{compile, CompileOptions, CompiledQuery};
 use xqr_runtime::{
-    serialize_sequence, Counters, DynamicContext, Evaluator, ExecState, Item, ParallelConfig,
-    RuntimeOptions, ScanCache, Sequence, StreamMatcher, StreamPattern, StreamStats,
+    run_pattern, serialize_sequence, Counters, DynamicContext, Evaluator, ExecState, Item,
+    ParallelConfig, RuntimeOptions, ScanCache, Sequence, StreamPattern, StreamStats,
 };
 use xqr_store::{DocId, NodeRef, Store};
 use xqr_tokenstream::ParserTokenIterator;
@@ -164,8 +164,8 @@ impl Engine {
     pub fn compile(&self, query: &str) -> Result<PreparedQuery> {
         let compiled = compile(query, &self.options.compile)?;
         let streamable = StreamPattern::extract(&compiled.module.body);
-        // `count(//path)` runs in streaming counting mode: matches are
-        // skipped over, never serialized.
+        // `count(//path)` streams the path's pattern and counts its
+        // matches, never materializing the document.
         let streamable_count = match &compiled.module.body {
             xqr_compiler::Core::Builtin("count", args) if args.len() == 1 => {
                 StreamPattern::extract(&args[0])
@@ -312,32 +312,20 @@ impl PreparedQuery {
         engine: &Engine,
         xml: &str,
     ) -> Result<(u64, StreamStats)> {
-        let pattern = self.streamable_count.clone().ok_or_else(|| {
+        let pattern = self.streamable_count.as_ref().ok_or_else(|| {
             xqr_xdm::Error::new(
                 xqr_xdm::ErrorCode::Internal,
                 "query is not a streamable count; use execute()",
             )
         })?;
+        // Counting produces no serialized output: matches are not
+        // charged to the output budget.
         let guard = QueryGuard::new(self.runtime.limits);
-        let it = if guard.is_unlimited() {
-            ParserTokenIterator::new(xml, engine.names().clone())
-        } else {
-            ParserTokenIterator::with_guard(xml, engine.names().clone(), guard.clone())
-        };
-        let mut matcher = StreamMatcher::new(it, pattern);
+        let mut it = token_source(engine, xml, &guard);
         contain_panic(|| {
-            let n = matcher.count_matches()?;
-            Ok((n, matcher.stats))
+            let stats = run_pattern(pattern, &mut it, |_| Ok(()), |_| {})?;
+            Ok((stats.matches, stats))
         })
-    }
-
-    /// Streaming emits *outermost* matches; for child-only patterns this
-    /// equals materialized evaluation exactly (matches cannot nest).
-    pub fn streaming_is_exact(&self) -> bool {
-        self.streamable
-            .as_ref()
-            .map(|p| p.is_exact())
-            .unwrap_or(false)
     }
 
     /// Whether execution needs node identities (E11's analysis).
@@ -349,11 +337,7 @@ impl PreparedQuery {
     pub fn explain(&self) -> String {
         let mut text = explain(&self.compiled);
         match &self.streamable {
-            Some(p) => text.push_str(&format!(
-                "streamable: true (steps: {}, exact: {})\n",
-                p.steps.len(),
-                p.is_exact()
-            )),
+            Some(p) => text.push_str(&format!("streamable: true (steps: {})\n", p.steps.len())),
             None => text.push_str("streamable: false\n"),
         }
         text.push_str(&format!("limits: {}\n", self.runtime.limits));
@@ -455,34 +439,43 @@ impl PreparedQuery {
     }
 
     /// Execute in token-streaming mode directly over XML text, invoking
-    /// `on_match` for each serialized result subtree as soon as its end
-    /// tag is parsed. Errors if the query is not streamable.
+    /// `on_match` for each serialized result subtree in document order,
+    /// while the document is still being read: at the match's end tag,
+    /// or — for a match nested inside another — when the outermost
+    /// enclosing match closes. Errors if the query is not streamable.
     pub fn execute_streaming<F: FnMut(&str)>(
         &self,
         engine: &Engine,
         xml: &str,
         mut on_match: F,
     ) -> Result<StreamStats> {
-        let pattern = self.streamable.clone().ok_or_else(|| {
+        let pattern = self.streamable.as_ref().ok_or_else(|| {
             xqr_xdm::Error::new(
                 xqr_xdm::ErrorCode::Internal,
                 "query is not streamable; use execute()",
             )
         })?;
         let guard = QueryGuard::new(self.runtime.limits);
-        let mut matcher = if guard.is_unlimited() {
-            let it = ParserTokenIterator::new(xml, engine.names().clone());
-            StreamMatcher::new(it, pattern)
-        } else {
-            let it = ParserTokenIterator::with_guard(xml, engine.names().clone(), guard.clone());
-            StreamMatcher::new(it, pattern).with_guard(guard)
-        };
+        let mut it = token_source(engine, xml, &guard);
         contain_panic(|| {
-            while let Some(m) = matcher.next_match()? {
-                on_match(&m);
-            }
-            Ok(matcher.stats)
+            run_pattern(
+                pattern,
+                &mut it,
+                |bytes| guard.note_output_bytes(bytes),
+                |m| on_match(&m),
+            )
         })
+    }
+}
+
+/// The token stream a streaming execution reads: charged to `guard`
+/// (token and depth budgets, deadline, cancellation) unless it is
+/// unlimited.
+fn token_source<'a>(engine: &Engine, xml: &'a str, guard: &QueryGuard) -> ParserTokenIterator<'a> {
+    if guard.is_unlimited() {
+        ParserTokenIterator::new(xml, engine.names().clone())
+    } else {
+        ParserTokenIterator::with_guard(xml, engine.names().clone(), guard.clone())
     }
 }
 

@@ -315,13 +315,12 @@ impl ChaosRunner {
                 panics_scheduled,
             );
 
-            // Leg 3: token streaming, when the plan qualifies. Streaming
-            // semantics differ from materialized evaluation only in ways
-            // `streaming_is_exact` excludes, so the reference still
-            // applies.
+            // Leg 3: token streaming, whenever the plan is streamable.
+            // The automaton emits exactly the materialized node set, so
+            // the reference applies.
             let streaming_engine = Engine::with_options(self.options.clone());
             if let Ok(prepared) = streaming_engine.compile(&query) {
-                if prepared.is_streamable() && prepared.streaming_is_exact() {
+                if prepared.is_streamable() {
                     let mut out = String::new();
                     let streamed = outcome(contain_panic(|| {
                         prepared

@@ -15,8 +15,8 @@
 //! * the [`xqr_service::QueryService`] (sharded plan cache, document
 //!   catalog, worker pool), run **twice** per case so the second run is
 //!   served from the plan cache;
-//! * the token-streaming matcher, whenever the optimized plan reports
-//!   `is_streamable() && streaming_is_exact()`.
+//! * the token-streaming automaton, whenever the optimized plan reports
+//!   `is_streamable()`.
 //!
 //! The oracle's contract mirrors the optimizer's documented one (see
 //! `tests/proptest_semantics.rs`): the optimizer may **avoid** errors —

@@ -19,7 +19,7 @@
 //!    `dropped_expired + executed == admitted` at the service level;
 //! 4. **return to Green** — once load stops, the pressure state walks
 //!    back to Green and every transient ledger category (sessions,
-//!    channels, query output, publish buffers, morsels) drains to
+//!    stream queries, query output, publish buffers, morsels) drains to
 //!    zero bytes. Brownout is a mode, not a ratchet.
 //!
 //! Hangs are covered operationally, like the chaos suite: a wedged run
@@ -69,9 +69,10 @@ impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
             // Sized against the fixed-seed workload's natural footprint
-            // so the run actually crosses Yellow and Red watermarks and
-            // recovers, rather than idling in Green.
-            ceiling: 128 << 10,
+            // (a ledger peak of about 60 KiB ungoverned) so the run
+            // actually crosses Yellow and Red watermarks and recovers,
+            // rather than idling in Green.
+            ceiling: 48 << 10,
             producers: 20,
             ops_per_producer: 150,
             max_concurrent: 2,

@@ -1,8 +1,8 @@
 //! # xqr-pressure — process-wide memory ledger and overload governance
 //!
 //! Every other resource bound in the system is *local*: the catalog
-//! bounds resident documents, the plan cache bounds plans, each ingest
-//! channel bounds one session. Nothing bounds their *sum*, so a burst
+//! bounds resident documents, the plan cache bounds plans, the session
+//! table bounds chunk sessions. Nothing bounds their *sum*, so a burst
 //! of concurrent ingest + batch + pubsub traffic can blow past any
 //! intended process ceiling while every individual limiter reports
 //! healthy. This crate is the one memory/overload brain the service
@@ -10,7 +10,7 @@
 //!
 //! - A [`MemoryLedger`]: cheap atomic byte accounting under named
 //!   [`Category`]s, charged at every allocation site that used to grow
-//!   unaccounted (chunk-session buffers, ingest channels, subscription
+//!   unaccounted (chunk-session buffers, stream queries, subscription
 //!   fallback documents, morsel output buffers, query output) or was
 //!   charged only locally (catalog resident bytes, plan cache).
 //! - Watermark-driven [`PressureState`]s — Green / Yellow / Red — with
@@ -55,8 +55,8 @@ pub enum Category {
     PlanCache,
     /// Chunked publish sessions: bytes buffered for the fallback pass.
     ChunkSessions,
-    /// Streaming ingest: bounded token channels and buffered stream
-    /// queries.
+    /// Stream queries: a streamed query's tokenizer and matcher state,
+    /// a buffering one's document bytes.
     IngestChannels,
     /// Subscription fallback / transient published documents.
     Subscriptions,

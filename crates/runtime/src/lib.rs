@@ -1,7 +1,7 @@
 //! # xqr-runtime — the streaming evaluator
 //!
 //! Push-based, lazily short-circuiting interpreter over the compiled
-//! core tree, plus the token-level streaming path matcher, the built-in
+//! core tree, plus the token-level streaming path automaton, the built-in
 //! function library, node construction, the three comparison families,
 //! and a small regex engine for the string functions.
 
@@ -18,7 +18,10 @@ pub mod value;
 pub use env::{DynamicContext, ExecState, Focus, Frame};
 pub use eval::{Counters, Evaluator, Flow, RuntimeOptions, Sink};
 pub use index_scan::ScanCache;
-pub use stream_path::{StreamMatcher, StreamPattern, StreamStats, StreamStep};
+pub use stream_path::{
+    run_document, run_pattern, CombinedAutomaton, CombinedOutcome, CombinedRun, PatternId,
+    PushAction, StreamPattern, StreamStats, StreamStep,
+};
 pub use value::{effective_boolean_value, serialize_sequence, Item, Sequence};
 pub use xqr_parallel::{ParallelConfig, ParallelRun};
 

@@ -17,32 +17,31 @@
 //!   opens fail with `err:XQRL0004 Overloaded`.
 //!
 //! * **Stream queries** ([`QueryService::open_stream_query`]) run one
-//!   query over a chunked document. Streamable plans run on a live
-//!   bounded channel (`xqr-ingest`): a worker thread drives the token
-//!   matcher while the caller feeds bytes, memory stays O(channel), and
-//!   the producer parks when the evaluator falls behind (backpressure).
-//!   Non-streamable plans buffer and evaluate at finish — same results,
-//!   same error codes, just without the bounded-memory guarantee.
+//!   query over a chunked document. Streamable plans run inline on the
+//!   feeding thread: each [`StreamQuery::feed`] pushes whatever tokens
+//!   the chunk completes through a one-pattern run of the same
+//!   shared-prefix automaton chunk sessions use, so the query holds no
+//!   thread, and no buffer beyond the lexer's carry, one event's tokens
+//!   and the open matches. Non-streamable plans buffer and evaluate at
+//!   finish — same results, same error codes, just without the
+//!   bounded-memory guarantee.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::resilience::lock_recover;
 use crate::service::QueryService;
-use xqr_ingest::IngestPipeline;
 use xqr_pressure::{Category, Charge};
-use xqr_runtime::{StreamMatcher, StreamStats};
+use xqr_runtime::{CombinedAutomaton, CombinedRun};
 use xqr_subscribe::{PublishReport, PublishSession};
+use xqr_tokenstream::{PushTokenizer, Token};
 use xqr_xdm::{Error, QueryGuard, Result};
 
-/// Baseline ledger charge for a live chunk session or buffered stream
-/// query (slot bookkeeping, lexer state); fed bytes grow it.
+/// Baseline ledger charge for a live chunk session or stream query
+/// (slot bookkeeping, lexer state); fed bytes grow a buffering one.
 const SESSION_BASE_BYTES: u64 = 4096;
-/// Estimated bytes per event slot in a stream query's bounded channel.
-const CHANNEL_EVENT_BYTES: u64 = 64;
 
 /// Generation-checked handle to a live chunk session. Stale ids (the
 /// session finished, aborted, or was reaped, and the slot may have been
@@ -79,7 +78,6 @@ pub(crate) struct IngestState {
     slots: Box<[Mutex<Option<SessionEntry>>]>,
     next_generation: AtomicU64,
     idle_timeout: Duration,
-    channel_capacity: usize,
     sessions_opened: AtomicU64,
     sessions_finished: AtomicU64,
     sessions_aborted: AtomicU64,
@@ -88,10 +86,6 @@ pub(crate) struct IngestState {
     chunks_fed: AtomicU64,
     bytes_fed: AtomicU64,
     stream_queries: AtomicU64,
-    /// High-water mark of any stream query's event channel — with
-    /// backpressure working this never exceeds `channel_capacity`, no
-    /// matter how large the document.
-    channel_peak: AtomicU64,
 }
 
 /// Point-in-time copy of the ingest counters for [`crate::ServiceStats`].
@@ -105,16 +99,10 @@ pub(crate) struct IngestSnapshot {
     pub chunks: u64,
     pub bytes: u64,
     pub stream_queries: u64,
-    pub channel_capacity: u64,
-    pub channel_peak: u64,
 }
 
 impl IngestState {
-    pub(crate) fn new(
-        max_sessions: usize,
-        idle_timeout: Duration,
-        channel_capacity: usize,
-    ) -> Self {
+    pub(crate) fn new(max_sessions: usize, idle_timeout: Duration) -> Self {
         let slots = (0..max_sessions.max(1))
             .map(|_| Mutex::new(None))
             .collect::<Vec<_>>()
@@ -123,7 +111,6 @@ impl IngestState {
             slots,
             next_generation: AtomicU64::new(0),
             idle_timeout,
-            channel_capacity: channel_capacity.max(1),
             sessions_opened: AtomicU64::new(0),
             sessions_finished: AtomicU64::new(0),
             sessions_aborted: AtomicU64::new(0),
@@ -132,7 +119,6 @@ impl IngestState {
             chunks_fed: AtomicU64::new(0),
             bytes_fed: AtomicU64::new(0),
             stream_queries: AtomicU64::new(0),
-            channel_peak: AtomicU64::new(0),
         }
     }
 
@@ -146,11 +132,6 @@ impl IngestState {
         self.slots
             .get(id.slot as usize)
             .ok_or_else(|| Self::stale(id))
-    }
-
-    fn fold_gauges(&self, gauges: &xqr_ingest::ChannelGauges) {
-        self.channel_peak
-            .fetch_max(gauges.peak() as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> IngestSnapshot {
@@ -169,8 +150,6 @@ impl IngestState {
             chunks: self.chunks_fed.load(Ordering::Relaxed),
             bytes: self.bytes_fed.load(Ordering::Relaxed),
             stream_queries: self.stream_queries.load(Ordering::Relaxed),
-            channel_capacity: self.channel_capacity as u64,
-            channel_peak: self.channel_peak.load(Ordering::Relaxed),
         }
     }
 }
@@ -365,62 +344,46 @@ impl QueryService {
     }
 
     /// Run one query over a document that arrives as chunks. Streamable
-    /// plans evaluate on a live bounded channel — first results exist
-    /// before the last byte arrives, and memory stays O(channel
-    /// capacity); everything else buffers and evaluates at
-    /// [`StreamQuery::finish`] with identical results and error codes.
+    /// plans evaluate inline as chunks are fed — first results exist
+    /// before the last byte arrives, no thread is held, and memory stays
+    /// bounded by one event's tokens plus the matches in flight;
+    /// everything else buffers and evaluates at [`StreamQuery::finish`]
+    /// with identical results and error codes.
     pub fn open_stream_query(&self, query: &str) -> Result<StreamQuery<'_>> {
         self.check_red("stream query")?;
         let st = self.ingest_state();
         let plan = self.acquire_plan_for_ingest(query)?;
         let inner = match plan.stream_pattern() {
-            Some(p) if plan.streaming_is_exact() => {
-                let pattern = p.clone();
+            Some(pattern) => {
                 let guard = QueryGuard::new(self.limits());
-                let pipe_guard = (!guard.is_unlimited()).then(|| guard.clone());
-                let (pipeline, rx) = xqr_ingest::pipeline(
-                    self.engine().names().clone(),
-                    st.channel_capacity,
-                    pipe_guard.clone(),
-                );
-                // A dedicated thread, not a pool worker: a drip-fed
-                // document can straddle seconds, and parking a pool slot
-                // on it would starve interactive queries.
-                let worker = std::thread::spawn(move || {
-                    let mut matcher = StreamMatcher::new(rx, pattern);
-                    if let Some(g) = pipe_guard {
-                        matcher = matcher.with_guard(g);
-                    }
-                    xqr_core::contain_panic(|| {
-                        let mut out = String::new();
-                        while let Some(m) = matcher.next_match()? {
-                            out.push_str(&m);
-                        }
-                        Ok((out, matcher.stats))
-                    })
-                });
-                StreamQueryInner::Streamed {
-                    pipeline: Box::new(pipeline),
-                    worker,
-                }
+                let names = self.engine().names().clone();
+                let tokenizer = if guard.is_unlimited() {
+                    PushTokenizer::new(names)
+                } else {
+                    PushTokenizer::with_guard(names, guard.clone())
+                };
+                let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
+                StreamQueryInner::Streamed(Box::new(StreamedQuery {
+                    tokenizer,
+                    run: CombinedRun::new(&automaton),
+                    automaton,
+                    guard,
+                    out: String::new(),
+                    failed: None,
+                }))
             }
-            _ => StreamQueryInner::Buffered {
+            None => StreamQueryInner::Buffered {
                 query: query.to_string(),
                 buf: Vec::new(),
             },
         };
         st.stream_queries.fetch_add(1, Ordering::Relaxed);
-        // Streamed mode's footprint is the bounded channel; buffered
-        // mode starts at the baseline and grows with every fed chunk.
+        // Both modes start at the baseline; buffered mode grows with
+        // every fed chunk.
         let charge = Charge::new(
             Arc::clone(self.ledger()),
             Category::IngestChannels,
-            match &inner {
-                StreamQueryInner::Streamed { .. } => {
-                    st.channel_capacity as u64 * CHANNEL_EVENT_BYTES
-                }
-                StreamQueryInner::Buffered { .. } => SESSION_BASE_BYTES,
-            },
+            SESSION_BASE_BYTES,
         );
         Ok(StreamQuery {
             service: self,
@@ -456,17 +419,58 @@ fn finish_entry(service: &QueryService, entry: SessionEntry) -> Result<PublishRe
         })
 }
 
+/// A streamed query's whole state: the push tokenizer, a one-pattern
+/// automaton and its resumable run, and the matches completed so far.
+struct StreamedQuery {
+    tokenizer: PushTokenizer,
+    automaton: CombinedAutomaton,
+    run: CombinedRun,
+    /// Output budget, deadline and cancellation for this query.
+    guard: QueryGuard,
+    out: String,
+    /// Sticky failure: once a feed fails, every later call reports it.
+    failed: Option<Error>,
+}
+
+impl StreamedQuery {
+    /// Feed one chunk (`None`: end of input) and push every token it
+    /// completes through the run, appending the matches they complete.
+    fn advance(&mut self, chunk: Option<&[u8]>) -> Result<()> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let r = xqr_core::contain_panic(|| {
+            match chunk {
+                Some(c) => self.tokenizer.feed(c)?,
+                None => self.tokenizer.finish()?,
+            }
+            let guard = &self.guard;
+            let mut charge = |_, bytes| guard.note_output_bytes(bytes);
+            while let Some(tok) = self.tokenizer.poll_token()? {
+                // Skip hints are ignored: tokens arrive whether we want
+                // them or not, and the run absorbs dead subtrees.
+                self.run
+                    .push(&self.automaton, &tok, &self.tokenizer, &mut charge)?;
+                if tok == Token::EndElement {
+                    for m in self.run.take_completed(0)? {
+                        self.out.push_str(&m);
+                    }
+                }
+            }
+            Ok(())
+        });
+        if let Err(e) = &r {
+            self.failed = Some(e.clone());
+        }
+        r
+    }
+}
+
 enum StreamQueryInner {
-    Streamed {
-        // Boxed: the pipeline embeds the tokenizer's lexer state and
-        // would otherwise dwarf the Buffered variant.
-        pipeline: Box<IngestPipeline>,
-        worker: JoinHandle<Result<(String, StreamStats)>>,
-    },
-    Buffered {
-        query: String,
-        buf: Vec<u8>,
-    },
+    // Boxed: the tokenizer embeds the lexer state and would otherwise
+    // dwarf the Buffered variant.
+    Streamed(Box<StreamedQuery>),
+    Buffered { query: String, buf: Vec<u8> },
 }
 
 /// An in-flight chunked query from [`QueryService::open_stream_query`].
@@ -474,17 +478,18 @@ enum StreamQueryInner {
 pub struct StreamQuery<'s> {
     service: &'s QueryService,
     inner: StreamQueryInner,
-    /// Ledger charge for this query's channel or buffer; released when
+    /// Ledger charge for this query's tokenizer or buffer; released when
     /// the query finishes or is dropped.
     charge: Charge,
 }
 
 impl StreamQuery<'_> {
-    /// Feed one chunk. In streamed mode this blocks only while the
-    /// bounded channel is full — backpressure, not buffering.
+    /// Feed one chunk, split at any byte boundary. In streamed mode the
+    /// chunk is matched before this returns; a lexing error or tripped
+    /// budget fails this call and every later one.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<()> {
         match &mut self.inner {
-            StreamQueryInner::Streamed { pipeline, .. } => pipeline.feed(chunk),
+            StreamQueryInner::Streamed(q) => q.advance(Some(chunk)),
             StreamQueryInner::Buffered { buf, .. } => {
                 buf.extend_from_slice(chunk);
                 self.charge.grow(chunk.len() as u64);
@@ -496,38 +501,28 @@ impl StreamQuery<'_> {
     /// Is this query evaluating while bytes arrive (bounded memory), or
     /// buffering for a whole-document evaluation at finish?
     pub fn is_streamed(&self) -> bool {
-        matches!(self.inner, StreamQueryInner::Streamed { .. })
+        matches!(self.inner, StreamQueryInner::Streamed(_))
     }
 
-    /// The channel's high-water mark so far (streamed mode; 0 buffered).
+    /// Most tokens the tokenizer has held for the matcher at once
+    /// (streamed mode; 0 buffered): the largest single event's tokens,
+    /// whatever the document's size.
     pub fn channel_peak(&self) -> usize {
         match &self.inner {
-            StreamQueryInner::Streamed { pipeline, .. } => pipeline.gauges().peak(),
+            StreamQueryInner::Streamed(q) => q.tokenizer.peak_queued(),
             StreamQueryInner::Buffered { .. } => 0,
         }
     }
 
     /// End of input: complete the evaluation and return the serialized
-    /// result. The evaluator's own error (a budget trip, a match-time
-    /// failure) wins over the producer's view of it (a dropped channel).
+    /// result.
     pub fn finish(self) -> Result<String> {
-        let st = self.service.ingest_state();
         match self.inner {
-            StreamQueryInner::Streamed {
-                mut pipeline,
-                worker,
-            } => {
-                let fed = pipeline.finish();
-                st.fold_gauges(&pipeline.gauges());
-                let outcome = match worker.join() {
-                    Ok(Ok((out, stats))) => {
-                        fed?;
-                        self.service.record_publish_stream(&stats);
-                        Ok(out)
-                    }
-                    Ok(Err(e)) => Err(e),
-                    Err(_) => Err(Error::internal("stream-query worker panicked")),
-                };
+            StreamQueryInner::Streamed(mut q) => {
+                let outcome = q.advance(None).map(|()| {
+                    self.service.record_publish_stream(q.run.stats());
+                    std::mem::take(&mut q.out)
+                });
                 self.service.note_stream_query_outcome(&outcome);
                 outcome
             }
@@ -665,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_query_evaluates_over_a_live_channel() {
+    fn stream_query_evaluates_as_chunks_arrive() {
         let svc = service();
         let mut q = svc.open_stream_query("/order/date").unwrap();
         assert!(q.is_streamed());
@@ -673,12 +668,23 @@ mod tests {
         for c in xml.as_bytes().chunks(5) {
             q.feed(c).unwrap();
         }
+        assert_eq!(q.channel_peak(), 1, "no event here has attributes");
         assert_eq!(q.finish().unwrap(), "<date>2003-08-19</date>");
         let s = svc.stats();
         assert_eq!(s.ingest_stream_queries, 1);
-        assert!(s.ingest_channel_peak >= 1);
-        assert!(s.ingest_channel_peak <= s.ingest_channel_capacity);
         assert!(s.stream_tokens_seen > 0);
+    }
+
+    #[test]
+    fn stream_query_emits_every_nested_match_like_materialized_evaluation() {
+        let svc = service();
+        let xml = "<a><d><d/></d><d/></a>";
+        let mut q = svc.open_stream_query("//d").unwrap();
+        assert!(q.is_streamed());
+        for c in xml.as_bytes().chunks(3) {
+            q.feed(c).unwrap();
+        }
+        assert_eq!(q.finish().unwrap(), svc.run_on_xml("//d", xml).unwrap());
     }
 
     #[test]
@@ -701,39 +707,24 @@ mod tests {
         let svc = service();
         let mut q = svc.open_stream_query("/a/b").unwrap();
         q.feed(b"<a><b>x</b>").unwrap();
-        let fed = q.feed(b"</wrong>");
-        // The producer may or may not see the error first depending on
-        // scheduling; finish must surface it either way.
-        let err = match fed {
-            Err(e) => e,
-            Ok(()) => q.finish().unwrap_err(),
-        };
+        // The chunk is lexed inside feed, so the error surfaces there —
+        // and stays: finish reports it too.
+        let err = q.feed(b"</wrong>").unwrap_err();
         assert_eq!(err.code, ErrorCode::Syntax);
+        assert_eq!(q.finish().unwrap_err().code, ErrorCode::Syntax);
     }
 
     #[test]
-    fn bounded_channel_holds_peak_at_capacity_for_large_documents() {
+    fn stream_query_output_budget_stops_at_the_first_overrun() {
         let svc = QueryService::new(ServiceConfig {
-            ingest_channel_capacity: 8,
+            per_query_limits: Limits::unlimited().with_max_output_bytes(10),
             ..Default::default()
         });
-        // A document orders of magnitude larger than the channel: with
-        // backpressure the peak occupancy still never exceeds 8 events.
-        let mut xml = String::from("<log>");
-        for i in 0..20_000 {
-            xml.push_str(&format!("<e id=\"{i}\">payload {i}</e>"));
-        }
-        xml.push_str("<hit/></log>");
-        let mut q = svc.open_stream_query("/log/hit").unwrap();
-        for c in xml.as_bytes().chunks(4096) {
-            q.feed(c).unwrap();
-        }
-        assert!(q.channel_peak() <= 8);
-        assert_eq!(q.finish().unwrap(), "<hit/>");
-        let s = svc.stats();
-        assert!(
-            s.ingest_channel_peak <= 8,
-            "backpressure must bound the channel: {s}"
-        );
+        let mut q = svc.open_stream_query("/a/b").unwrap();
+        // "<b>1</b>" fits; the second match takes the total to 16 bytes.
+        q.feed(b"<a><b>1</b>").unwrap();
+        let err = q.feed(b"<b>2</b>").unwrap_err();
+        assert_eq!(err.code, ErrorCode::Limit);
+        assert_eq!(q.finish().unwrap_err().code, ErrorCode::Limit);
     }
 }

@@ -21,9 +21,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::automaton::{run_document, CombinedAutomaton, CombinedOutcome, CombinedRun};
 use xqr_core::{contain_panic, Engine, Item, NodeId, NodeRef, PreparedQuery};
-use xqr_runtime::{Counters, DynamicContext, StreamPattern, StreamStats};
+use xqr_runtime::{
+    run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, Counters, DynamicContext,
+    StreamPattern, StreamStats,
+};
 use xqr_store::DocId;
 use xqr_tokenstream::{ParserTokenIterator, PushTokenizer};
 use xqr_xdm::{Error, Limits, QueryGuard, Result};

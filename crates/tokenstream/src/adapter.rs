@@ -63,11 +63,10 @@ impl<'a> ParserTokenIterator<'a> {
 }
 
 /// The one mapping from parser events to data-model tokens, shared by the
-/// pull adapter above, the push tokenizer, and the chunked-ingestion
-/// channel consumer — every path MUST produce identical token sequences
-/// (the chunked-vs-whole differential oracle depends on it). Returns true
-/// when the event ends the document.
-pub fn event_to_tokens(
+/// pull adapter above and the push tokenizer — both paths MUST produce
+/// identical token sequences (the chunked-vs-whole differential oracle
+/// depends on it). Returns true when the event ends the document.
+pub(crate) fn event_to_tokens(
     ev: &XmlEvent,
     names: &NamePool,
     pool: &mut StringPool,

@@ -31,12 +31,13 @@ pub trait TokenIterator {
 
 /// Id resolution alone — the read-only half of [`TokenIterator`].
 ///
-/// Push-mode consumers (the pub/sub automaton's resumable run, the
-/// chunked-ingestion pipeline) receive tokens rather than pulling them,
-/// so they can't be driven through `next_token`; they still need to
-/// resolve pooled ids against whatever source produced the tokens. Every
-/// `TokenIterator` is a `TokenResolve` via the blanket impl below, and
-/// push sources (e.g. `PushTokenizer`) implement it directly.
+/// Push-mode consumers (the streaming automaton's resumable run, fed by
+/// chunked publishes and stream queries) receive tokens rather than
+/// pulling them, so they can't be driven through `next_token`; they
+/// still need to resolve pooled ids against whatever source produced
+/// the tokens. Every `TokenIterator` is a `TokenResolve` via the blanket
+/// impl below, and push sources (e.g. `PushTokenizer`) implement it
+/// directly.
 pub trait TokenResolve {
     /// Resolve a pooled string id from this source.
     fn pooled_str(&self, id: StrId) -> Arc<str>;

@@ -39,9 +39,7 @@ pub mod push;
 pub mod stream;
 pub mod token;
 
-pub use adapter::{
-    event_to_tokens, materialize, push_event, tokens_to_events, tokens_to_xml, ParserTokenIterator,
-};
+pub use adapter::{materialize, push_event, tokens_to_events, tokens_to_xml, ParserTokenIterator};
 pub use buffer::{BufferFactory, BufferedIterator};
 pub use encode::{decode, encode};
 pub use iterator::{drain, TokenIterator, TokenResolve};

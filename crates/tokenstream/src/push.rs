@@ -38,6 +38,8 @@ pub struct PushTokenizer {
     drained: bool,
     failed: Option<Error>,
     guard: Option<QueryGuard>,
+    /// Most tokens ever queued at once (see [`PushTokenizer::peak_queued`]).
+    peak_queued: usize,
 }
 
 impl PushTokenizer {
@@ -51,6 +53,7 @@ impl PushTokenizer {
             drained: false,
             failed: None,
             guard: None,
+            peak_queued: 0,
         }
     }
 
@@ -118,6 +121,7 @@ impl PushTokenizer {
                     if event_to_tokens(&ev, &self.names, &mut self.pool, &mut self.queue) {
                         self.done = true;
                     }
+                    self.peak_queued = self.peak_queued.max(self.queue.len());
                 }
                 Ok(None) => return Ok(None),
                 Err(e) => return self.fail(e),
@@ -143,6 +147,15 @@ impl PushTokenizer {
     /// The stream ended cleanly and every token was handed out.
     pub fn is_drained(&self) -> bool {
         self.drained
+    }
+
+    /// Most tokens this tokenizer has held for its consumer at once.
+    /// Events are converted only when the queue is empty, so this is
+    /// the largest single event's token count (a start tag plus its
+    /// attributes and namespace declarations) — never a function of
+    /// document size.
+    pub fn peak_queued(&self) -> usize {
+        self.peak_queued
     }
 
     /// Absolute bytes of input consumed by completed events.

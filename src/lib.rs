@@ -22,17 +22,15 @@
 //! node store), [`xqr_joins`] (structural/twig joins), [`xqr_xqparser`]
 //! (XQuery front-end), [`xqr_compiler`], [`xqr_runtime`],
 //! [`xqr_xmlgen`] (workload generators), [`xqr_parallel`] (the
-//! morsel-driven parallel join executor and worker pool), and [`xqr_service`] (the
+//! morsel-driven parallel join executor and worker pool), [`xqr_service`] (the
 //! concurrent query service: plan cache, document catalog, admission
-//! control), [`xqr_subscribe`] (standing continuous queries over
-//! document streams), and [`xqr_ingest`] (chunked push-based ingestion:
-//! resumable lexing over a bounded, backpressured token channel).
+//! control, chunked ingestion), and [`xqr_subscribe`] (standing
+//! continuous queries over document streams).
 
 pub use xqr_core::*;
 
 pub use xqr_compiler;
 pub use xqr_index;
-pub use xqr_ingest;
 pub use xqr_joins;
 pub use xqr_parallel;
 pub use xqr_pressure;

@@ -370,7 +370,7 @@ fn streaming_count_agrees_with_materialized() {
     assert_eq!(n.to_string(), materialized);
     assert!(
         stats.tokens_skipped > 0,
-        "match subtrees should be skipped: {stats:?}"
+        "subtrees no match can start in should be skipped: {stats:?}"
     );
     // Non-count queries refuse.
     let q2 = engine.compile("/site/people/person").unwrap();

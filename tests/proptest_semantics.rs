@@ -124,7 +124,6 @@ proptest! {
         let engine = Engine::new();
         let q = engine.compile(pattern).unwrap();
         prop_assume!(q.is_streamable());
-        prop_assert!(q.streaming_is_exact());
         let mut streamed = String::new();
         q.execute_streaming(&engine, &xml, |m| streamed.push_str(m)).unwrap();
         let materialized = engine.query_xml(&xml, pattern).unwrap();
@@ -132,21 +131,22 @@ proptest! {
     }
 
     #[test]
-    fn streaming_outermost_semantics(xml in arb_tree(), tag in prop_oneof![
+    fn streaming_descendant_paths_match_materialized(xml in arb_tree(), tag in prop_oneof![
         Just("a"), Just("d")
     ]) {
-        // Descendant patterns emit outermost matches: exactly the nodes
-        // with no same-pattern ancestor.
+        // Descendant patterns emit every match, nested ones included,
+        // in document order: exactly the materialized result, and the
+        // streaming count equals the materialized count.
         let engine = Engine::new();
-        let q = engine.compile(&format!("//{tag}")).unwrap();
+        let path = format!("//{tag}");
+        let q = engine.compile(&path).unwrap();
         prop_assert!(q.is_streamable());
-        prop_assert!(!q.streaming_is_exact());
-        let mut count = 0u64;
-        q.execute_streaming(&engine, &xml, |_| count += 1).unwrap();
-        let outermost = engine
-            .query_xml(&xml, &format!("count(//{tag}[empty(ancestor::{tag})])"))
-            .unwrap();
-        prop_assert_eq!(count.to_string(), outermost, "tag {}", tag);
+        let mut streamed = String::new();
+        q.execute_streaming(&engine, &xml, |m| streamed.push_str(m)).unwrap();
+        prop_assert_eq!(streamed, engine.query_xml(&xml, &path).unwrap(), "tag {}", tag);
+        let count = format!("count({path})");
+        let (n, _) = engine.compile(&count).unwrap().execute_streaming_count(&engine, &xml).unwrap();
+        prop_assert_eq!(n.to_string(), engine.query_xml(&xml, &count).unwrap(), "tag {}", tag);
     }
 
     #[test]

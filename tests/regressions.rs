@@ -65,25 +65,46 @@ fn semantics_seed_doc_joins_agree_on_slash_slash_d() {
     assert_eq!(want.len(), 8);
 }
 
-/// The engine side of the pinned case: optimized and unoptimized
-/// evaluation agree on `//d` (and friends) over the seed document, and
-/// the streaming matcher reports exactly the outermost matches.
+/// The engine side of the pinned case: the streaming automaton emits
+/// every `//d` match — the nested `d/d` one included — exactly as
+/// materialized evaluation does.
 #[test]
-fn semantics_seed_doc_streaming_outermost() {
+fn semantics_seed_doc_streaming_matches_materialized() {
     let engine = Engine::new();
     let q = engine.compile("//d").unwrap();
     assert!(q.is_streamable());
-    assert!(!q.streaming_is_exact());
     let mut count = 0u64;
-    q.execute_streaming(&engine, SEMANTICS_SEED_DOC, |_| count += 1)
-        .unwrap();
-    // 8 `d` elements, but the `d/d` inner one has a `d` ancestor:
-    // streaming emits outermost matches only.
-    assert_eq!(count, 7);
-    let outermost = engine
-        .query_xml(SEMANTICS_SEED_DOC, "count(//d[empty(ancestor::d)])")
-        .unwrap();
-    assert_eq!(outermost, "7");
+    let mut streamed = String::new();
+    q.execute_streaming(&engine, SEMANTICS_SEED_DOC, |m| {
+        count += 1;
+        streamed.push_str(m);
+    })
+    .unwrap();
+    // 8 `d` elements, one of them inside another `d`.
+    assert_eq!(count, 8);
+    assert_eq!(
+        streamed,
+        engine.query_xml(SEMANTICS_SEED_DOC, "//d").unwrap()
+    );
+}
+
+/// Streaming `count(//d)` once reused an outermost-only matcher and
+/// skipped every match's subtree, so a `d` nested inside a `d` went
+/// uncounted: 2 instead of 3 on the small document. The count now comes
+/// from the same one-pattern run `execute_streaming` uses.
+#[test]
+fn streaming_count_includes_nested_matches() {
+    let engine = Engine::new();
+    let q = engine.compile("count(//d)").unwrap();
+    assert!(q.is_streamable_count());
+    for xml in ["<a><d><d/></d><d/></a>", SEMANTICS_SEED_DOC] {
+        let (n, _) = q.execute_streaming_count(&engine, xml).unwrap();
+        assert_eq!(
+            n.to_string(),
+            engine.query_xml(xml, "count(//d)").unwrap(),
+            "{xml}"
+        );
+    }
 }
 
 #[test]
@@ -126,7 +147,7 @@ fn paths_beyond_the_streaming_step_cap_answer_navigationally() {
     // materialized evaluation byte-for-byte.
     let at_cap = "/s".repeat(StreamPattern::MAX_STEPS);
     let plan = engine.compile(&at_cap).unwrap();
-    assert!(plan.is_streamable() && plan.streaming_is_exact());
+    assert!(plan.is_streamable());
     let mut streamed = String::new();
     plan.execute_streaming(&engine, &xml, |m| streamed.push_str(m))
         .unwrap();
