@@ -184,10 +184,10 @@ fn report_peak_memory() {
             session.feed(entry(i).as_bytes()).unwrap();
             if std::env::var_os("E19_DEBUG").is_some() && i % 50_000 == 0 {
                 println!(
-                    "  after {} entries: live {} KiB, session buffered {} B",
+                    "  after {} entries: live {} KiB, session holds {} B",
                     i,
                     ALLOC.live.load(Ordering::Relaxed) / 1024,
-                    session.buffered_bytes()
+                    session.held_bytes()
                 );
             }
         }

@@ -18,6 +18,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
+use xqr_harness::cli::Argv;
 use xqr_harness::gen::{GenConfig, QueryGen};
 use xqr_harness::oracle::{Oracle, Verdict};
 use xqr_harness::report::RunReport;
@@ -38,34 +39,14 @@ fn parse_args() -> Result<Args, String> {
         mutate: false,
         verbose: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let need_value = |i: usize| -> Result<&str, String> {
-            argv.get(i + 1)
-                .map(|s| s.as_str())
-                .ok_or_else(|| format!("{} needs a value", argv[i]))
-        };
-        match argv[i].as_str() {
-            "--seed" => {
-                args.seed = need_value(i)?.parse().map_err(|e| format!("--seed: {e}"))?;
-                i += 2;
-            }
-            "--cases" => {
-                args.cases = need_value(i)?
-                    .parse()
-                    .map_err(|e| format!("--cases: {e}"))?;
-                i += 2;
-            }
-            "--mutate" => {
-                args.mutate = true;
-                i += 1;
-            }
-            "--verbose" => {
-                args.verbose = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown argument: {other}")),
+    let mut argv = Argv::from_env();
+    while let Some(opt) = argv.next_opt() {
+        match opt.as_str() {
+            "--seed" => args.seed = argv.value()?,
+            "--cases" => args.cases = argv.value()?,
+            "--mutate" => args.mutate = true,
+            "--verbose" => args.verbose = true,
+            _ => return Err(argv.unknown()),
         }
     }
     Ok(args)

@@ -16,6 +16,7 @@
 
 use std::process::ExitCode;
 use xqr_harness::case_seed;
+use xqr_harness::cli::Argv;
 use xqr_harness::ingest::run_case;
 
 struct Args {
@@ -30,30 +31,13 @@ fn parse_args() -> Result<Args, String> {
         cases: 100,
         verbose: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let need_value = |i: usize| -> Result<&str, String> {
-            argv.get(i + 1)
-                .map(|s| s.as_str())
-                .ok_or_else(|| format!("{} needs a value", argv[i]))
-        };
-        match argv[i].as_str() {
-            "--seed" => {
-                args.seed = need_value(i)?.parse().map_err(|e| format!("--seed: {e}"))?;
-                i += 2;
-            }
-            "--cases" => {
-                args.cases = need_value(i)?
-                    .parse()
-                    .map_err(|e| format!("--cases: {e}"))?;
-                i += 2;
-            }
-            "--verbose" => {
-                args.verbose = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown argument: {other}")),
+    let mut argv = Argv::from_env();
+    while let Some(opt) = argv.next_opt() {
+        match opt.as_str() {
+            "--seed" => args.seed = argv.value()?,
+            "--cases" => args.cases = argv.value()?,
+            "--verbose" => args.verbose = true,
+            _ => return Err(argv.unknown()),
         }
     }
     Ok(args)

@@ -27,6 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use xqr_harness::cli::Argv;
 use xqr_harness::overload::{run_overload, OverloadConfig};
 
 /// Counting allocator: live bytes and the high-water mark.
@@ -72,40 +73,15 @@ fn parse_args() -> Result<Args, String> {
         ceiling: OverloadConfig::default().ceiling,
         verbose: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let need_value = |i: usize| -> Result<&str, String> {
-            argv.get(i + 1)
-                .map(|s| s.as_str())
-                .ok_or_else(|| format!("{} needs a value", argv[i]))
-        };
-        match argv[i].as_str() {
-            "--seed" => {
-                args.seed = need_value(i)?.parse().map_err(|e| format!("--seed: {e}"))?;
-                i += 2;
-            }
-            "--producers" => {
-                args.producers = need_value(i)?
-                    .parse()
-                    .map_err(|e| format!("--producers: {e}"))?;
-                i += 2;
-            }
-            "--ops" => {
-                args.ops = need_value(i)?.parse().map_err(|e| format!("--ops: {e}"))?;
-                i += 2;
-            }
-            "--ceiling" => {
-                args.ceiling = need_value(i)?
-                    .parse()
-                    .map_err(|e| format!("--ceiling: {e}"))?;
-                i += 2;
-            }
-            "--verbose" => {
-                args.verbose = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown argument: {other}")),
+    let mut argv = Argv::from_env();
+    while let Some(opt) = argv.next_opt() {
+        match opt.as_str() {
+            "--seed" => args.seed = argv.value()?,
+            "--producers" => args.producers = argv.value()?,
+            "--ops" => args.ops = argv.value()?,
+            "--ceiling" => args.ceiling = argv.value()?,
+            "--verbose" => args.verbose = true,
+            _ => return Err(argv.unknown()),
         }
     }
     Ok(args)

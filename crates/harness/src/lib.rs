@@ -43,6 +43,7 @@
 //! `S` is exactly case `0` of a run with `--seed S+i`.
 
 pub mod chaos;
+pub mod cli;
 pub mod gen;
 pub mod ingest;
 pub mod oracle;

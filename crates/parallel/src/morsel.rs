@@ -143,6 +143,9 @@ pub struct ParallelRun {
     /// per morsel that touched them; `merged` is the exact final tuple
     /// count.
     pub stats: TwigStats,
+    /// The join would have split but ran serially because the guard
+    /// carried the memory-pressure shed hint.
+    pub shed_pressure: bool,
 }
 
 /// Process-wide gauges for the parallel executor.
@@ -331,7 +334,8 @@ pub fn parallel_twig_stack(
     // the guard, not the (plan-fingerprinted) config, so one query's
     // shed never changes another query's plan identity.
     let shed = guard.parallel_shed();
-    if shed && m > 1 && config.should_split(lists[0].len()) {
+    let shed_pressure = shed && m > 1 && config.should_split(lists[0].len());
+    if shed_pressure {
         JOINS_SHED_PRESSURE.fetch_add(1, Ordering::Relaxed);
     }
     if shed || m <= 1 || !config.should_split(lists[0].len()) {
@@ -358,6 +362,7 @@ pub fn parallel_twig_stack(
                 morsels: 1,
                 inline_morsels: 1,
                 stats,
+                shed_pressure,
             },
         ));
     }
@@ -476,6 +481,7 @@ pub fn parallel_twig_stack(
             morsels: m,
             inline_morsels: inline_count,
             stats,
+            shed_pressure: false,
         },
     ))
 }
@@ -609,6 +615,7 @@ mod tests {
         assert_eq!(got, want, "shed path must stay bit-identical");
         assert_eq!(run.morsels, 1, "shed join never fans out");
         assert_eq!(run.inline_morsels, 1);
+        assert!(run.shed_pressure);
         assert_eq!(parallel_stats().joins_shed_pressure, before + 1);
     }
 

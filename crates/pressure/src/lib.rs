@@ -463,6 +463,17 @@ impl Charge {
         Ok(())
     }
 
+    /// Move the charge to exactly `bytes`. Growth is ceiling-checked (on
+    /// refusal the existing charge is untouched); shrinking always works.
+    pub fn try_resize(&mut self, bytes: u64) -> Result<()> {
+        if bytes > self.bytes {
+            return self.try_grow(bytes - self.bytes);
+        }
+        self.ledger.release(self.cat, self.bytes - bytes);
+        self.bytes = bytes;
+        Ok(())
+    }
+
     /// Grow unconditionally.
     pub fn grow(&mut self, more: u64) {
         self.ledger.charge(self.cat, more);

@@ -96,6 +96,9 @@ pub struct Counters {
     pub parallel_joins: Cell<u64>,
     /// Morsels executed across those joins (serial joins count 0).
     pub morsels_run: Cell<u64>,
+    /// Joins that would have split but ran serially because the guard
+    /// carried the memory-pressure shed hint.
+    pub joins_shed_pressure: Cell<u64>,
     /// Inverted-list scans answered from a shared batch scan cache
     /// instead of being rebuilt from the index.
     pub scan_cache_hits: Cell<u64>,

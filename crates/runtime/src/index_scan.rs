@@ -240,6 +240,11 @@ fn answer_twig(
             .morsels_run
             .set(counters.morsels_run.get() + run.morsels as u64);
     }
+    if run.shed_pressure {
+        counters
+            .joins_shed_pressure
+            .set(counters.joins_shed_pressure.get() + 1);
+    }
     let mut out: Vec<xqr_store::NodeId> =
         tuples.iter().map(|tuple| tuple[pattern.output]).collect();
     out.sort();

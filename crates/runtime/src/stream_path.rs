@@ -368,6 +368,9 @@ fn flush_pending(
 /// [`finish`]: CombinedRun::finish
 pub struct CombinedRun {
     per_pattern: Vec<Result<Vec<String>>>,
+    // Bytes of the finished matches `per_pattern` holds (one copy per
+    // recipient), for memory accounting.
+    collected: usize,
     stats: StreamStats,
     // Flat state-set arena: `states[bounds[d]..bounds[d+1]]` is the set
     // for open-element depth d+1; the trailing segment is the top.
@@ -391,6 +394,7 @@ impl CombinedRun {
             per_pattern: (0..automaton.pattern_count())
                 .map(|_| Ok(Vec::new()))
                 .collect(),
+            collected: 0,
             stats: StreamStats::default(),
             states: vec![0], // trie root, full mode
             bounds: Vec::new(),
@@ -553,9 +557,13 @@ impl CombinedRun {
                             match charge(pid, out.len() as u64) {
                                 Ok(()) => {
                                     self.stats.matches += 1;
+                                    self.collected += out.len();
                                     slots[slot] = out.clone();
                                 }
-                                Err(e) => self.per_pattern[pid as usize] = Err(e),
+                                Err(e) => {
+                                    self.collected -= slots.iter().map(String::len).sum::<usize>();
+                                    self.per_pattern[pid as usize] = Err(e);
+                                }
                             }
                         }
                     }
@@ -583,8 +591,19 @@ impl CombinedRun {
         match &mut self.per_pattern[pid as usize] {
             Err(e) => Err(e.clone()),
             Ok(_) if !self.captures.is_empty() => Ok(Vec::new()),
-            Ok(slots) => Ok(std::mem::take(slots)),
+            Ok(slots) => {
+                let taken = std::mem::take(slots);
+                self.collected -= taken.iter().map(String::len).sum::<usize>();
+                Ok(taken)
+            }
         }
+    }
+
+    /// Bytes of output this run holds: finished matches not yet handed
+    /// over by [`CombinedRun::take_completed`], plus the text serialized
+    /// so far into open captures.
+    pub fn held_bytes(&self) -> usize {
+        self.collected + self.captures.iter().map(|c| c.writer.len()).sum::<usize>()
     }
 
     /// Live instrumentation — readable mid-stream (matches so far,
@@ -937,6 +956,39 @@ mod tests {
             push(&a, &mut run, &mut tok, b"</b>"),
             vec!["<b>o<b>i</b></b>", "<b>i</b>"]
         );
+    }
+
+    #[test]
+    fn held_bytes_count_output_until_handed_over_or_dropped() {
+        // Pattern 1's budget trips on its second match, dropping what it
+        // collected; pattern 0 keeps collecting.
+        let a = CombinedAutomaton::build(&[pattern("//b"), pattern("/a/b")]);
+        let mut run = CombinedRun::new(&a);
+        let mut tok = PushTokenizer::new(Arc::new(NamePool::new()));
+        let mut seen = 0;
+        let mut charge = |pid: PatternId, _| {
+            seen += pid;
+            match seen {
+                2 => Err(Error::limit("output budget")),
+                _ => Ok(()),
+            }
+        };
+        let mut push = |run: &mut CombinedRun, bytes: &[u8]| {
+            tok.feed(bytes).unwrap();
+            while let Some(t) = tok.poll_token().unwrap() {
+                run.push(&a, &t, &tok, &mut charge).unwrap();
+            }
+            run.held_bytes()
+        };
+        assert_eq!(push(&mut run, b"<a><b>1</b>"), 2 * "<b>1</b>".len());
+        // An open capture holds what it has serialized so far.
+        assert!(push(&mut run, b"<b>22<") > 2 * "<b>1</b>".len());
+        assert_eq!(push(&mut run, b"/b>"), "<b>1</b><b>22</b>".len());
+        assert_eq!(
+            run.take_completed(0).unwrap(),
+            vec!["<b>1</b>", "<b>22</b>"]
+        );
+        assert_eq!(run.held_bytes(), 0);
     }
 
     #[test]

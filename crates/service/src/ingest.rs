@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 
 use crate::resilience::lock_recover;
 use crate::service::QueryService;
+use crate::stats::count;
 use xqr_pressure::{Category, Charge};
 use xqr_runtime::{CombinedAutomaton, CombinedRun};
 use xqr_subscribe::{PublishReport, PublishSession};
@@ -40,7 +41,7 @@ use xqr_tokenstream::{PushTokenizer, Token};
 use xqr_xdm::{Error, QueryGuard, Result};
 
 /// Baseline ledger charge for a live chunk session or stream query
-/// (slot bookkeeping, lexer state); fed bytes grow a buffering one.
+/// (slot bookkeeping, lexer state); buffered bytes come on top.
 const SESSION_BASE_BYTES: u64 = 4096;
 
 /// Generation-checked handle to a live chunk session. Stale ids (the
@@ -66,39 +67,20 @@ struct SessionEntry {
     /// feed, cancellation.
     guard: QueryGuard,
     last_activity: Instant,
-    /// Ledger charge for this session's buffered state; grows with every
-    /// fed chunk and releases when the session ends, however it ends.
+    /// Ledger charge for this session's held state (base, fallback
+    /// buffer, lexer buffers, streamed matches awaiting delivery);
+    /// follows every feed and releases when the session ends, however
+    /// it ends.
     charge: Charge,
 }
 
 /// Shared ingestion state: the fixed slot table (one mutex per slot, so
-/// concurrent sessions never contend) and the counters behind the
-/// `ingest:` stats section.
+/// concurrent sessions never contend). The `ingest:` stats counters are
+/// service-owned rows of the stats table.
 pub(crate) struct IngestState {
     slots: Box<[Mutex<Option<SessionEntry>>]>,
     next_generation: AtomicU64,
     idle_timeout: Duration,
-    sessions_opened: AtomicU64,
-    sessions_finished: AtomicU64,
-    sessions_aborted: AtomicU64,
-    sessions_reaped: AtomicU64,
-    sessions_failed: AtomicU64,
-    chunks_fed: AtomicU64,
-    bytes_fed: AtomicU64,
-    stream_queries: AtomicU64,
-}
-
-/// Point-in-time copy of the ingest counters for [`crate::ServiceStats`].
-pub(crate) struct IngestSnapshot {
-    pub opened: u64,
-    pub active: u64,
-    pub finished: u64,
-    pub aborted: u64,
-    pub reaped: u64,
-    pub failed: u64,
-    pub chunks: u64,
-    pub bytes: u64,
-    pub stream_queries: u64,
 }
 
 impl IngestState {
@@ -111,14 +93,6 @@ impl IngestState {
             slots,
             next_generation: AtomicU64::new(0),
             idle_timeout,
-            sessions_opened: AtomicU64::new(0),
-            sessions_finished: AtomicU64::new(0),
-            sessions_aborted: AtomicU64::new(0),
-            sessions_reaped: AtomicU64::new(0),
-            sessions_failed: AtomicU64::new(0),
-            chunks_fed: AtomicU64::new(0),
-            bytes_fed: AtomicU64::new(0),
-            stream_queries: AtomicU64::new(0),
         }
     }
 
@@ -132,25 +106,6 @@ impl IngestState {
         self.slots
             .get(id.slot as usize)
             .ok_or_else(|| Self::stale(id))
-    }
-
-    pub(crate) fn snapshot(&self) -> IngestSnapshot {
-        let active = self
-            .slots
-            .iter()
-            .filter(|s| lock_recover(s).is_some())
-            .count() as u64;
-        IngestSnapshot {
-            opened: self.sessions_opened.load(Ordering::Relaxed),
-            active,
-            finished: self.sessions_finished.load(Ordering::Relaxed),
-            aborted: self.sessions_aborted.load(Ordering::Relaxed),
-            reaped: self.sessions_reaped.load(Ordering::Relaxed),
-            failed: self.sessions_failed.load(Ordering::Relaxed),
-            chunks: self.chunks_fed.load(Ordering::Relaxed),
-            bytes: self.bytes_fed.load(Ordering::Relaxed),
-            stream_queries: self.stream_queries.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -184,9 +139,7 @@ impl QueryService {
                         SESSION_BASE_BYTES,
                     )?;
                     let generation = st.next_generation.fetch_add(1, Ordering::Relaxed) + 1;
-                    let session =
-                        self.subs_registry()
-                            .begin_publish(self.engine(), name, self.limits());
+                    let session = self.subs.begin_publish(self.engine(), name, self.limits());
                     *entry = Some(SessionEntry {
                         generation,
                         session,
@@ -194,7 +147,7 @@ impl QueryService {
                         last_activity: Instant::now(),
                         charge,
                     });
-                    st.sessions_opened.fetch_add(1, Ordering::Relaxed);
+                    count(&self.shared.counters.ingest_sessions_opened, 1);
                     return Ok(SessionId {
                         slot: i as u32,
                         generation,
@@ -237,16 +190,16 @@ impl QueryService {
             Ok(()) => {
                 e.last_activity = Instant::now();
                 *guard = Some(e);
-                st.chunks_fed.fetch_add(1, Ordering::Relaxed);
-                st.bytes_fed
-                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+                let c = &self.shared.counters;
+                count(&c.ingest_chunks, 1);
+                count(&c.ingest_bytes, chunk.len() as u64);
                 Ok(())
             }
             Err(err) => {
                 // Cleanup on failure: the slot frees immediately, and the
                 // session's buffered state drops without ever touching
                 // the store or catalog.
-                st.sessions_failed.fetch_add(1, Ordering::Relaxed);
+                count(&self.shared.counters.ingest_sessions_failed, 1);
                 Err(err)
             }
         }
@@ -286,12 +239,12 @@ impl QueryService {
         drop(guard);
         match finish_entry(self, entry) {
             Ok(report) => {
-                self.record_publish_stream(&report.stats);
-                st.sessions_finished.fetch_add(1, Ordering::Relaxed);
+                self.shared.record_stream(&report.stats);
+                count(&self.shared.counters.ingest_sessions_finished, 1);
                 Ok(report)
             }
             Err(e) => {
-                st.sessions_failed.fetch_add(1, Ordering::Relaxed);
+                count(&self.shared.counters.ingest_sessions_failed, 1);
                 Err(e)
             }
         }
@@ -306,7 +259,7 @@ impl QueryService {
         match entry.as_ref() {
             Some(e) if e.generation == id.generation => {
                 *entry = None;
-                st.sessions_aborted.fetch_add(1, Ordering::Relaxed);
+                count(&self.shared.counters.ingest_sessions_aborted, 1);
                 true
             }
             _ => false,
@@ -329,8 +282,7 @@ impl QueryService {
                 }
             }
         }
-        st.sessions_reaped
-            .fetch_add(reaped as u64, Ordering::Relaxed);
+        count(&self.shared.counters.ingest_sessions_reaped, reaped as u64);
         reaped as usize
     }
 
@@ -351,7 +303,6 @@ impl QueryService {
     /// with identical results and error codes.
     pub fn open_stream_query(&self, query: &str) -> Result<StreamQuery<'_>> {
         self.check_red("stream query")?;
-        let st = self.ingest_state();
         let plan = self.acquire_plan_for_ingest(query)?;
         let inner = match plan.stream_pattern() {
             Some(pattern) => {
@@ -377,7 +328,7 @@ impl QueryService {
                 buf: Vec::new(),
             },
         };
-        st.stream_queries.fetch_add(1, Ordering::Relaxed);
+        count(&self.shared.counters.ingest_stream_queries, 1);
         // Both modes start at the baseline; buffered mode grows with
         // every fed chunk.
         let charge = Charge::new(
@@ -400,10 +351,12 @@ fn feed_entry(e: &mut SessionEntry, chunk: &[u8]) -> Result<()> {
     e.guard
         .check_document_bytes(e.session.bytes_fed() + chunk.len() as u64)?;
     e.session.feed(chunk)?;
-    // Ceiling-checked growth: a feed that would blow the hard ceiling
-    // fails the session with `err:XQRL0004` instead of charging past it.
-    e.charge.try_grow(chunk.len() as u64)?;
-    Ok(())
+    // Charge what the session holds, not what it was fed: a streamed
+    // document is matched as it arrives, and only its matches stay. Ceiling-checked: growth that
+    // would blow the hard ceiling fails the session with `err:XQRL0004`
+    // instead of charging past it.
+    e.charge
+        .try_resize(SESSION_BASE_BYTES + e.session.held_bytes() as u64)
 }
 
 fn finish_entry(service: &QueryService, entry: SessionEntry) -> Result<PublishReport> {
@@ -411,7 +364,7 @@ fn finish_entry(service: &QueryService, entry: SessionEntry) -> Result<PublishRe
     entry.guard.check_startup()?;
     entry
         .session
-        .finish(service.subs_registry(), service.engine(), |xml| {
+        .finish(&service.subs, service.engine(), |xml| {
             service
                 .catalog()
                 .load_transient_indexed(xml)
@@ -520,10 +473,10 @@ impl StreamQuery<'_> {
         match self.inner {
             StreamQueryInner::Streamed(mut q) => {
                 let outcome = q.advance(None).map(|()| {
-                    self.service.record_publish_stream(q.run.stats());
+                    self.service.shared.record_stream(q.run.stats());
                     std::mem::take(&mut q.out)
                 });
-                self.service.note_stream_query_outcome(&outcome);
+                self.service.shared.record_outcome(&outcome);
                 outcome
             }
             StreamQueryInner::Buffered { query, buf } => {

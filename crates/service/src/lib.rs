@@ -41,6 +41,7 @@ pub mod plan_cache;
 pub mod pool;
 pub mod resilience;
 pub mod service;
+mod stats;
 
 pub use catalog::{CatalogStats, DocumentCatalog};
 pub use ingest::{SessionId, StreamQuery};

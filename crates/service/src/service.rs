@@ -20,7 +20,9 @@ use std::time::{Duration, Instant};
 use crate::catalog::DocumentCatalog;
 use crate::plan_cache::PlanCache;
 use crate::pool::WorkerPool;
-use crate::resilience::{self, CircuitBreaker, RetryPolicy};
+use crate::resilience::{CircuitBreaker, RetryPolicy};
+pub use crate::stats::ServiceStats;
+use crate::stats::{count, ServiceCounters};
 use xqr_core::{Engine, EngineOptions, PreparedQuery};
 use xqr_pressure::{Category, Charge, MemoryLedger, MorselSink, PressureConfig, PressureState};
 use xqr_runtime::{DynamicContext, Item, StreamStats};
@@ -102,52 +104,27 @@ impl Default for ServiceConfig {
     }
 }
 
-struct ServiceShared {
+pub(crate) struct ServiceShared {
     engine: Arc<Engine>,
-    plans: PlanCache,
+    pub(crate) plans: PlanCache,
     limits: Limits,
     retry: RetryPolicy,
-    served: AtomicU64,
-    failed: AtomicU64,
-    index_hits: AtomicU64,
-    index_misses: AtomicU64,
-    /// Index-fed joins that split into ≥ 2 morsels, summed over queries.
-    parallel_joins: AtomicU64,
-    /// Morsels executed by those joins.
-    morsels_run: AtomicU64,
-    /// Inverted-list scans served from a batch's shared scan cache.
-    scan_shared_hits: AtomicU64,
-    /// `run_batch` calls admitted.
-    batches: AtomicU64,
-    /// Queries executed inside batches.
-    batch_queries: AtomicU64,
-    /// Transient-failure re-submissions by the `run` family.
-    retries: AtomicU64,
+    /// Every counter [`ServiceStats`] reports that the service owns.
+    pub(crate) counters: ServiceCounters,
     /// De-synchronizes concurrent retriers' jittered backoff.
     retry_salt: AtomicU64,
-    /// Shed queries served by the caller-thread streaming fallback.
-    shed_to_streaming: AtomicU64,
-    /// Plan acquisitions served in `Degraded::CacheOnly` mode.
-    degraded_cache_only: AtomicU64,
     /// Opens after repeated plan-cache failures; while open, queries
     /// serve cached plans or compile uncached (`Degraded::CacheOnly`).
-    plans_breaker: CircuitBreaker,
-    latency: LatencyHistogram,
-    /// Streaming-pass gauges, fed by both the shed-to-streaming rung
-    /// and the publish path's shared automaton pass.
-    stream_tokens_seen: AtomicU64,
-    stream_tokens_skipped: AtomicU64,
-    stream_matches: AtomicU64,
+    pub(crate) plans_breaker: CircuitBreaker,
+    pub(crate) latency: LatencyHistogram,
     /// Process-wide memory governance: every subsystem charges here.
-    ledger: Arc<MemoryLedger>,
+    pub(crate) ledger: Arc<MemoryLedger>,
     /// Per-query morsel-buffer accounting channel (see [`MorselSink`]).
     morsel_sink: Arc<MorselSink>,
     /// Configured plan-cache capacity — the shrink rung's reference.
     plan_cache_capacity: usize,
     /// Yellow/Red transitions already acted on by the brownout ladder.
     brownouts_seen: AtomicU64,
-    /// Work shed at admission because the ledger was Red.
-    pressure_sheds: AtomicU64,
 }
 
 impl ServiceShared {
@@ -169,13 +146,13 @@ impl ServiceShared {
                 }
                 Err(e) if e.code == ErrorCode::Unavailable => {
                     self.plans_breaker.record_failure();
-                    self.degraded_cache_only.fetch_add(1, Ordering::Relaxed);
+                    count(&self.counters.degraded_cache_only, 1);
                     self.engine.compile_shared(query)
                 }
                 Err(e) => Err(e),
             }
         } else {
-            self.degraded_cache_only.fetch_add(1, Ordering::Relaxed);
+            count(&self.counters.degraded_cache_only, 1);
             match self.plans.get_cached(&self.engine, query) {
                 Some(plan) => Ok(plan),
                 None => self.engine.compile_shared(query),
@@ -185,25 +162,31 @@ impl ServiceShared {
 
     /// Fold one execution's per-query counters into the service gauges.
     fn record_counters(&self, counters: &xqr_runtime::Counters) {
-        self.index_hits
-            .fetch_add(counters.index_hits.get(), Ordering::Relaxed);
-        self.index_misses
-            .fetch_add(counters.index_misses.get(), Ordering::Relaxed);
-        self.parallel_joins
-            .fetch_add(counters.parallel_joins.get(), Ordering::Relaxed);
-        self.morsels_run
-            .fetch_add(counters.morsels_run.get(), Ordering::Relaxed);
-        self.scan_shared_hits
-            .fetch_add(counters.scan_cache_hits.get(), Ordering::Relaxed);
+        let c = &self.counters;
+        count(&c.index_hits, counters.index_hits.get());
+        count(&c.index_misses, counters.index_misses.get());
+        count(&c.parallel_joins, counters.parallel_joins.get());
+        count(&c.morsels_run, counters.morsels_run.get());
+        count(&c.scan_shared_hits, counters.scan_cache_hits.get());
+        count(&c.joins_shed_pressure, counters.joins_shed_pressure.get());
     }
 
-    fn record_stream(&self, stats: &StreamStats) {
-        self.stream_tokens_seen
-            .fetch_add(stats.tokens_seen, Ordering::Relaxed);
-        self.stream_tokens_skipped
-            .fetch_add(stats.tokens_skipped, Ordering::Relaxed);
-        self.stream_matches
-            .fetch_add(stats.matches, Ordering::Relaxed);
+    /// Count one finished query as served or failed.
+    pub(crate) fn record_outcome<T>(&self, outcome: &Result<T>) {
+        let c = &self.counters;
+        let counter = if outcome.is_ok() {
+            &c.served
+        } else {
+            &c.failed
+        };
+        count(counter, 1);
+    }
+
+    pub(crate) fn record_stream(&self, stats: &StreamStats) {
+        let c = &self.counters;
+        count(&c.stream_tokens_seen, stats.tokens_seen);
+        count(&c.stream_tokens_skipped, stats.tokens_skipped);
+        count(&c.stream_matches, stats.matches);
     }
 
     /// Build a per-query guard wired for pressure governance: the morsel
@@ -224,7 +207,7 @@ impl ServiceShared {
     /// the pool's bounded queue plus deadline-aware dequeue govern them.
     fn check_red(&self, what: &str) -> Result<()> {
         if self.ledger.state() == PressureState::Red {
-            self.pressure_sheds.fetch_add(1, Ordering::Relaxed);
+            count(&self.counters.pressure_sheds, 1);
             let snap = self.ledger.snapshot();
             return Err(Error::overloaded(format!(
                 "memory pressure is red ({} of {} bytes): {what} shed at admission",
@@ -237,10 +220,10 @@ impl ServiceShared {
 
 /// A thread-safe query service over one engine. See the crate docs.
 pub struct QueryService {
-    shared: Arc<ServiceShared>,
-    catalog: Arc<DocumentCatalog>,
-    pool: WorkerPool,
-    subs: SubscriptionRegistry,
+    pub(crate) shared: Arc<ServiceShared>,
+    pub(crate) catalog: Arc<DocumentCatalog>,
+    pub(crate) pool: WorkerPool,
+    pub(crate) subs: SubscriptionRegistry,
     ingest: crate::ingest::IngestState,
 }
 
@@ -248,7 +231,9 @@ pub struct QueryService {
 /// call [`QueryTicket::wait`] for the result, or cancel from any thread
 /// via the [`CancelHandle`].
 pub struct QueryTicket {
-    rx: mpsc::Receiver<Result<String>>,
+    /// The outcome, with the ledger charge for its serialized text; the
+    /// charge drops once the waiter has received it.
+    rx: mpsc::Receiver<(Result<String>, Option<Charge>)>,
     cancel: CancelHandle,
 }
 
@@ -271,6 +256,7 @@ impl QueryTicket {
     pub fn wait(self) -> Result<String> {
         self.rx
             .recv()
+            .map(|(outcome, _charge)| outcome)
             .unwrap_or_else(|_| Err(Error::cancelled("service shut down before the query ran")))
     }
 }
@@ -320,29 +306,14 @@ impl QueryService {
                 plans,
                 limits: config.per_query_limits,
                 retry: config.retry,
-                served: AtomicU64::new(0),
-                failed: AtomicU64::new(0),
-                index_hits: AtomicU64::new(0),
-                index_misses: AtomicU64::new(0),
-                parallel_joins: AtomicU64::new(0),
-                morsels_run: AtomicU64::new(0),
-                scan_shared_hits: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
-                batch_queries: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
+                counters: ServiceCounters::default(),
                 retry_salt: AtomicU64::new(0),
-                shed_to_streaming: AtomicU64::new(0),
-                degraded_cache_only: AtomicU64::new(0),
                 plans_breaker: CircuitBreaker::new(PLAN_BREAKER_THRESHOLD, PLAN_BREAKER_COOLDOWN),
                 latency: LatencyHistogram::new(),
-                stream_tokens_seen: AtomicU64::new(0),
-                stream_tokens_skipped: AtomicU64::new(0),
-                stream_matches: AtomicU64::new(0),
                 morsel_sink: Arc::new(MorselSink(Arc::clone(&ledger))),
                 ledger,
                 plan_cache_capacity: config.plan_cache_capacity,
                 brownouts_seen: AtomicU64::new(0),
-                pressure_sheds: AtomicU64::new(0),
             }),
             catalog,
             pool,
@@ -356,10 +327,6 @@ impl QueryService {
 
     pub(crate) fn ingest_state(&self) -> &crate::ingest::IngestState {
         &self.ingest
-    }
-
-    pub(crate) fn subs_registry(&self) -> &SubscriptionRegistry {
-        &self.subs
     }
 
     pub(crate) fn limits(&self) -> Limits {
@@ -399,17 +366,6 @@ impl QueryService {
                 self.catalog.shed_cold(self.catalog.total_bytes() / 2);
             }
         }
-    }
-
-    pub(crate) fn record_publish_stream(&self, stats: &StreamStats) {
-        self.shared.record_stream(stats);
-    }
-
-    pub(crate) fn note_stream_query_outcome(&self, outcome: &Result<String>) {
-        match outcome {
-            Ok(_) => self.shared.served.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.shared.failed.fetch_add(1, Ordering::Relaxed),
-        };
     }
 
     /// The engine the service runs on (e.g. for `explain` output).
@@ -594,10 +550,13 @@ impl QueryService {
             let tx = tx.clone();
             let shared = self.shared.clone();
             Box::new(move || {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Err(Error::timeout(
-                    "deadline expired while queued: dropped at admission, never executed",
-                )));
+                count(&shared.counters.failed, 1);
+                let _ = tx.send((
+                    Err(Error::timeout(
+                        "deadline expired while queued: dropped at admission, never executed",
+                    )),
+                    None,
+                ));
             }) as Box<dyn FnOnce() + Send>
         });
         self.pool.submit_governed(deadline, expire, move || {
@@ -609,12 +568,11 @@ impl QueryService {
                     result.serialize_guarded()
                 });
             shared.latency.record(submitted.elapsed());
-            match &outcome {
-                Ok(_) => shared.served.fetch_add(1, Ordering::Relaxed),
-                Err(_) => shared.failed.fetch_add(1, Ordering::Relaxed),
-            };
+            shared.record_outcome(&outcome);
             // The serialized result is live until the waiter receives
-            // it; charge it for exactly that window.
+            // it; charge it for exactly that window (the charge travels
+            // with the result and drops in `wait`, or here if nobody
+            // waits).
             let charge = outcome.as_ref().ok().map(|s| {
                 Charge::new(
                     Arc::clone(&shared.ledger),
@@ -626,8 +584,7 @@ impl QueryService {
             // time the waiter wakes, so "wait, then submit" never sheds.
             // The submitter may have stopped waiting; that's fine.
             Some(Box::new(move || {
-                let _ = tx.send(outcome);
-                drop(charge);
+                let _ = tx.send((outcome, charge));
             }) as Box<dyn FnOnce() + Send>)
         })?;
         Ok(QueryTicket { rx, cancel })
@@ -657,7 +614,7 @@ impl QueryService {
             match outcome {
                 Err(e) if e.is_retryable() && attempt < policy.max_retries => {
                     attempt += 1;
-                    self.shared.retries.fetch_add(1, Ordering::Relaxed);
+                    count(&self.shared.counters.retries, 1);
                     std::thread::sleep(policy.backoff(attempt, salt));
                 }
                 other => return other,
@@ -681,14 +638,12 @@ impl QueryService {
             Err(e) if e.code == ErrorCode::Overloaded => {
                 let plan = self.shared.acquire_plan(query)?;
                 if plan.is_streamable() {
-                    self.shared
-                        .shed_to_streaming
-                        .fetch_add(1, Ordering::Relaxed);
+                    count(&self.shared.counters.shed_to_streaming, 1);
                     let mut out = String::new();
                     let stats =
                         plan.execute_streaming(&self.shared.engine, xml, |m| out.push_str(m))?;
                     self.shared.record_stream(&stats);
-                    self.shared.served.fetch_add(1, Ordering::Relaxed);
+                    count(&self.shared.counters.served, 1);
                     Ok(out)
                 } else {
                     Err(e)
@@ -729,11 +684,11 @@ impl QueryService {
             let scans = Arc::new(xqr_runtime::ScanCache::new());
             let mut ctx = DynamicContext::new();
             ctx.context_item = Some(Item::Node(NodeRef::new(id, NodeId(0))));
-            shared.batches.fetch_add(1, Ordering::Relaxed);
+            count(&shared.counters.batches, 1);
             let outcomes: Vec<Result<String>> = queries
                 .iter()
                 .map(|query| {
-                    shared.batch_queries.fetch_add(1, Ordering::Relaxed);
+                    count(&shared.counters.batch_queries, 1);
                     let outcome = shared
                         .acquire_plan(query)
                         .and_then(|plan| {
@@ -748,10 +703,7 @@ impl QueryService {
                             shared.record_counters(&result.counters);
                             result.serialize_guarded()
                         });
-                    match &outcome {
-                        Ok(_) => shared.served.fetch_add(1, Ordering::Relaxed),
-                        Err(_) => shared.failed.fetch_add(1, Ordering::Relaxed),
-                    };
+                    shared.record_outcome(&outcome);
                     outcome
                 })
                 .collect();
@@ -764,412 +716,9 @@ impl QueryService {
             .map_err(|_| Error::cancelled("service shut down before the batch ran"))
     }
 
-    /// A consistent-enough snapshot of every service counter. Individual
-    /// gauges are read with relaxed ordering, so a snapshot taken while
-    /// queries are in flight may be mid-update; quiescent snapshots are
-    /// exact.
-    pub fn stats(&self) -> ServiceStats {
-        let plans = self.shared.plans.stats();
-        let catalog = self.catalog.stats();
-        let pool = self.pool.stats();
-        let subs = self.subs.stats();
-        let ingest = self.ingest.snapshot();
-        let ledger = self.shared.ledger.snapshot();
-        let queue_wait = self.pool.queue_wait();
-        let mut memory_category_peak = [0u64; Category::ALL.len()];
-        for (slot, cat) in memory_category_peak.iter_mut().zip(Category::ALL) {
-            *slot = ledger.category(cat).peak;
-        }
-        ServiceStats {
-            served: self.shared.served.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            rejected: pool.rejected,
-            active: pool.active,
-            queued: pool.queued,
-            max_concurrent: self.pool.workers() as u64,
-            max_queued: self.pool.max_queued() as u64,
-            plan_lookups: plans.lookups,
-            plan_hits: plans.hits,
-            plan_misses: plans.misses,
-            plan_evictions: plans.evictions,
-            plan_entries: plans.entries,
-            catalog_docs: catalog.docs,
-            catalog_bytes: catalog.bytes,
-            catalog_evictions: catalog.evictions,
-            segments_written: catalog.segments_written,
-            segments_recovered: catalog.segments_recovered,
-            segments_quarantined: catalog.segments_quarantined,
-            cold_start_load: Duration::from_nanos(catalog.cold_start_nanos),
-            index_builds: catalog.index_builds,
-            index_bytes: catalog.index_bytes,
-            index_build_time: Duration::from_nanos(catalog.index_build_nanos),
-            index_hits: self.shared.index_hits.load(Ordering::Relaxed),
-            index_misses: self.shared.index_misses.load(Ordering::Relaxed),
-            parallel_joins: self.shared.parallel_joins.load(Ordering::Relaxed),
-            morsels_run: self.shared.morsels_run.load(Ordering::Relaxed),
-            scan_shared_hits: self.shared.scan_shared_hits.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            batch_queries: self.shared.batch_queries.load(Ordering::Relaxed),
-            retries: self.shared.retries.load(Ordering::Relaxed),
-            shed_to_streaming: self.shared.shed_to_streaming.load(Ordering::Relaxed),
-            degraded_cache_only: self.shared.degraded_cache_only.load(Ordering::Relaxed),
-            degraded_no_index: catalog.degraded_no_index,
-            index_build_failures: catalog.index_build_failures,
-            index_breaker_opens: catalog.index_breaker_opens,
-            plan_breaker_opens: self.shared.plans_breaker.opens(),
-            lock_recoveries: resilience::lock_recoveries(),
-            subscriptions_active: subs.active,
-            documents_published: subs.documents_published,
-            matches_delivered: subs.matches_delivered,
-            shared_pass_evals: subs.shared_pass_evals,
-            fallback_evals: subs.fallback_evals,
-            delivery_failures: subs.delivery_failures,
-            stream_tokens_seen: self.shared.stream_tokens_seen.load(Ordering::Relaxed),
-            stream_tokens_skipped: self.shared.stream_tokens_skipped.load(Ordering::Relaxed),
-            stream_matches: self.shared.stream_matches.load(Ordering::Relaxed),
-            ingest_sessions_opened: ingest.opened,
-            ingest_sessions_active: ingest.active,
-            ingest_sessions_finished: ingest.finished,
-            ingest_sessions_aborted: ingest.aborted,
-            ingest_sessions_reaped: ingest.reaped,
-            ingest_sessions_failed: ingest.failed,
-            ingest_chunks: ingest.chunks,
-            ingest_bytes: ingest.bytes,
-            ingest_stream_queries: ingest.stream_queries,
-            latency_count: self.shared.latency.count(),
-            latency_mean: self.shared.latency.mean(),
-            latency_p50: self.shared.latency.p50(),
-            latency_p99: self.shared.latency.p99(),
-            pressure_state: ledger.state,
-            memory_bytes: ledger.total,
-            memory_peak: ledger.peak,
-            memory_ceiling: ledger.ceiling,
-            pressure_to_green: ledger.to_green,
-            pressure_to_yellow: ledger.to_yellow,
-            pressure_to_red: ledger.to_red,
-            memory_rejected: ledger.rejected,
-            pressure_sheds: self.shared.pressure_sheds.load(Ordering::Relaxed),
-            memory_category_peak,
-            joins_shed_pressure: xqr_parallel::parallel_stats().joins_shed_pressure,
-            quarantined_bytes: catalog.quarantined_bytes,
-            pressure_no_index: catalog.pressure_no_index,
-            admitted: pool.admitted,
-            dropped_expired: pool.dropped_expired,
-            queue_wait_count: queue_wait.count(),
-            queue_wait_mean: queue_wait.mean(),
-            queue_wait_p50: queue_wait.p50(),
-            queue_wait_p99: queue_wait.p99(),
-        }
-    }
-
     /// [`QueryService::stats`] rendered as `explain`-style text.
     pub fn stats_text(&self) -> String {
         self.stats().to_string()
-    }
-}
-
-/// Point-in-time snapshot of the service counters and gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Queries that completed successfully.
-    pub served: u64,
-    /// Queries that completed with a coded error (including budget
-    /// trips, timeouts, and cancellations).
-    pub failed: u64,
-    /// Queries shed at admission with `err:XQRL0004`.
-    pub rejected: u64,
-    /// Queries executing right now.
-    pub active: u64,
-    /// Queries admitted and waiting for a worker.
-    pub queued: u64,
-    pub max_concurrent: u64,
-    pub max_queued: u64,
-    pub plan_lookups: u64,
-    pub plan_hits: u64,
-    pub plan_misses: u64,
-    pub plan_evictions: u64,
-    pub plan_entries: u64,
-    pub catalog_docs: u64,
-    pub catalog_bytes: u64,
-    pub catalog_evictions: u64,
-    /// Durable segments written by catalog loads (persistent catalogs).
-    pub segments_written: u64,
-    /// Segments reloaded from disk (cold-start touches and post-eviction
-    /// re-reads).
-    pub segments_recovered: u64,
-    /// Segments quarantined after failing integrity verification.
-    pub segments_quarantined: u64,
-    /// Wall-clock cost of opening the segment store: manifest replay,
-    /// orphan sweep and lazy adoption — not any document load.
-    pub cold_start_load: Duration,
-    /// Structural indexes built by catalog loads.
-    pub index_builds: u64,
-    /// Live structural-index bytes (part of `catalog_bytes`).
-    pub index_bytes: u64,
-    /// Total wall-clock time spent building structural indexes.
-    pub index_build_time: Duration,
-    /// `IndexScan` operators answered from a structural index.
-    pub index_hits: u64,
-    /// `IndexScan` operators that fell back to navigation.
-    pub index_misses: u64,
-    /// Index-fed twig joins that split into ≥ 2 morsels.
-    pub parallel_joins: u64,
-    /// Morsels executed across those joins.
-    pub morsels_run: u64,
-    /// Inverted-list scans served from a batch's shared scan cache.
-    pub scan_shared_hits: u64,
-    /// [`QueryService::run_batch`] calls admitted.
-    pub batches: u64,
-    /// Queries executed inside batches.
-    pub batch_queries: u64,
-    /// Transient-failure re-submissions by the `run` family.
-    pub retries: u64,
-    /// Shed queries served by the caller-thread streaming fallback.
-    pub shed_to_streaming: u64,
-    /// Plan acquisitions that bypassed the cache (`Degraded::CacheOnly`).
-    pub degraded_cache_only: u64,
-    /// Catalog loads served unindexed under an open breaker
-    /// (`Degraded::NoIndex`).
-    pub degraded_no_index: u64,
-    /// Structural-index builds that failed (their documents stay live,
-    /// unindexed).
-    pub index_build_failures: u64,
-    /// Times the catalog's index-build breaker opened.
-    pub index_breaker_opens: u64,
-    /// Times the service's plan-cache breaker opened.
-    pub plan_breaker_opens: u64,
-    /// Poisoned-lock recoveries in the service layer (process-wide).
-    pub lock_recoveries: u64,
-    /// Live standing subscriptions.
-    pub subscriptions_active: u64,
-    /// Documents pushed through [`QueryService::publish`] (and
-    /// `publish_retained`).
-    pub documents_published: u64,
-    /// Per-subscription match deliveries that charged a budget
-    /// successfully, summed over publishes.
-    pub matches_delivered: u64,
-    /// Subscriptions served by the combined shared pass, summed over
-    /// publishes.
-    pub shared_pass_evals: u64,
-    /// Subscriptions served by one-shot fallback, summed over publishes.
-    pub fallback_evals: u64,
-    /// Sink deliveries that errored or panicked (each degraded only its
-    /// own subscription).
-    pub delivery_failures: u64,
-    /// Tokens inspected by streaming passes (publish shared pass +
-    /// shed-to-streaming rung).
-    pub stream_tokens_seen: u64,
-    /// Tokens pruned by `skip()` without inspection.
-    pub stream_tokens_skipped: u64,
-    /// Matches emitted by streaming passes.
-    pub stream_matches: u64,
-    /// Chunk sessions opened ([`QueryService::open_chunk_session`]).
-    pub ingest_sessions_opened: u64,
-    /// Chunk sessions live right now.
-    pub ingest_sessions_active: u64,
-    /// Chunk sessions finished (document delivered to subscriptions).
-    pub ingest_sessions_finished: u64,
-    /// Chunk sessions dropped by [`QueryService::abort_chunk_session`].
-    pub ingest_sessions_aborted: u64,
-    /// Idle chunk sessions reclaimed by the reaper.
-    pub ingest_sessions_reaped: u64,
-    /// Chunk sessions removed by a feed/finish failure (lexing error,
-    /// budget trip, injected fault).
-    pub ingest_sessions_failed: u64,
-    /// Chunks accepted across all sessions.
-    pub ingest_chunks: u64,
-    /// Bytes accepted across all sessions.
-    pub ingest_bytes: u64,
-    /// Stream queries opened ([`QueryService::open_stream_query`]).
-    pub ingest_stream_queries: u64,
-    pub latency_count: u64,
-    pub latency_mean: Duration,
-    pub latency_p50: Duration,
-    pub latency_p99: Duration,
-    /// Ledger pressure state at snapshot time.
-    pub pressure_state: PressureState,
-    /// Live ledger-tracked bytes across every category.
-    pub memory_bytes: u64,
-    /// High-water mark of `memory_bytes`.
-    pub memory_peak: u64,
-    /// Configured memory ceiling; 0 when governance is off.
-    pub memory_ceiling: u64,
-    /// Pressure-state transitions, by destination.
-    pub pressure_to_green: u64,
-    pub pressure_to_yellow: u64,
-    pub pressure_to_red: u64,
-    /// `try_charge` refusals at the hard ceiling.
-    pub memory_rejected: u64,
-    /// Publishes, batch jobs and chunk sessions shed at admission
-    /// because the ledger was Red.
-    pub pressure_sheds: u64,
-    /// Per-category ledger peaks, in [`Category::ALL`] order.
-    pub memory_category_peak: [u64; Category::ALL.len()],
-    /// Parallel joins routed to inline execution by pressure
-    /// (process-wide, like `lock_recoveries`).
-    pub joins_shed_pressure: u64,
-    /// Disk bytes held by quarantined segments (observability gauge —
-    /// never charged against the catalog budget).
-    pub quarantined_bytes: u64,
-    /// Catalog loads served unindexed because the ledger was at Yellow
-    /// or worse (also counted in `degraded_no_index`).
-    pub pressure_no_index: u64,
-    /// Jobs admitted into the worker pool (ran or expired in queue).
-    pub admitted: u64,
-    /// Queued jobs dropped unexecuted because their deadline passed.
-    pub dropped_expired: u64,
-    /// Queue-wait distribution over every dequeue, including drops.
-    pub queue_wait_count: u64,
-    pub queue_wait_mean: Duration,
-    pub queue_wait_p50: Duration,
-    pub queue_wait_p99: Duration,
-}
-
-impl ServiceStats {
-    /// Fraction of plan lookups served from cache, in `[0, 1]`.
-    pub fn plan_hit_rate(&self) -> f64 {
-        if self.plan_lookups == 0 {
-            0.0
-        } else {
-            self.plan_hits as f64 / self.plan_lookups as f64
-        }
-    }
-}
-
-impl std::fmt::Display for ServiceStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "service: served: {} failed: {} rejected: {}",
-            self.served, self.failed, self.rejected
-        )?;
-        writeln!(
-            f,
-            "plans:   lookups: {} hits: {} misses: {} evictions: {} entries: {} hit-rate: {:.1}%",
-            self.plan_lookups,
-            self.plan_hits,
-            self.plan_misses,
-            self.plan_evictions,
-            self.plan_entries,
-            self.plan_hit_rate() * 100.0
-        )?;
-        writeln!(
-            f,
-            "catalog: docs: {} bytes: {} evictions: {}",
-            self.catalog_docs, self.catalog_bytes, self.catalog_evictions
-        )?;
-        writeln!(
-            f,
-            "segments: written: {} recovered: {} quarantined: {} cold-start: {:?}",
-            self.segments_written,
-            self.segments_recovered,
-            self.segments_quarantined,
-            self.cold_start_load
-        )?;
-        writeln!(
-            f,
-            "indexes: builds: {} bytes: {} build-time: {:?} hits: {} misses: {}",
-            self.index_builds,
-            self.index_bytes,
-            self.index_build_time,
-            self.index_hits,
-            self.index_misses
-        )?;
-        writeln!(
-            f,
-            "pool:    active: {} queued: {} max-concurrent: {} max-queued: {} admitted: {} \
-dropped-expired: {}",
-            self.active,
-            self.queued,
-            self.max_concurrent,
-            self.max_queued,
-            self.admitted,
-            self.dropped_expired
-        )?;
-        writeln!(
-            f,
-            "queue-wait: n: {} mean: {:?} p50: {:?} p99: {:?}",
-            self.queue_wait_count, self.queue_wait_mean, self.queue_wait_p50, self.queue_wait_p99
-        )?;
-        writeln!(
-            f,
-            "parallel: joins: {} morsels: {} scan-shared-hits: {} batches: {} batch-queries: {}",
-            self.parallel_joins,
-            self.morsels_run,
-            self.scan_shared_hits,
-            self.batches,
-            self.batch_queries
-        )?;
-        writeln!(
-            f,
-            "resilience: retries: {} shed-to-streaming: {} cache-only: {} no-index: {} \
-build-failures: {} breaker-opens: {}/{} lock-recoveries: {}",
-            self.retries,
-            self.shed_to_streaming,
-            self.degraded_cache_only,
-            self.degraded_no_index,
-            self.index_build_failures,
-            self.index_breaker_opens,
-            self.plan_breaker_opens,
-            self.lock_recoveries
-        )?;
-        writeln!(
-            f,
-            "pubsub:  subscriptions: {} published: {} matches: {} shared-pass: {} fallback: {} \
-delivery-failures: {}",
-            self.subscriptions_active,
-            self.documents_published,
-            self.matches_delivered,
-            self.shared_pass_evals,
-            self.fallback_evals,
-            self.delivery_failures
-        )?;
-        writeln!(
-            f,
-            "stream:  tokens-seen: {} tokens-skipped: {} matches: {}",
-            self.stream_tokens_seen, self.stream_tokens_skipped, self.stream_matches
-        )?;
-        writeln!(
-            f,
-            "ingest:  sessions: {} active: {} finished: {} aborted: {} reaped: {} failed: {} \
-chunks: {} bytes: {} stream-queries: {}",
-            self.ingest_sessions_opened,
-            self.ingest_sessions_active,
-            self.ingest_sessions_finished,
-            self.ingest_sessions_aborted,
-            self.ingest_sessions_reaped,
-            self.ingest_sessions_failed,
-            self.ingest_chunks,
-            self.ingest_bytes,
-            self.ingest_stream_queries
-        )?;
-        writeln!(
-            f,
-            "pressure: state: {} bytes: {} peak: {} ceiling: {} to-green: {} to-yellow: {} \
-to-red: {} rejected: {} sheds: {} morsels-inline: {} no-index: {} quarantined-bytes: {}",
-            self.pressure_state.as_str(),
-            self.memory_bytes,
-            self.memory_peak,
-            self.memory_ceiling,
-            self.pressure_to_green,
-            self.pressure_to_yellow,
-            self.pressure_to_red,
-            self.memory_rejected,
-            self.pressure_sheds,
-            self.joins_shed_pressure,
-            self.pressure_no_index,
-            self.quarantined_bytes
-        )?;
-        write!(f, "memory: ")?;
-        for (cat, peak) in Category::ALL.iter().zip(self.memory_category_peak) {
-            write!(f, " {}: {}", cat.as_str(), peak)?;
-        }
-        writeln!(f, " (peak bytes)")?;
-        write!(
-            f,
-            "latency: n: {} mean: {:?} p50: {:?} p99: {:?}",
-            self.latency_count, self.latency_mean, self.latency_p50, self.latency_p99
-        )
     }
 }
 

@@ -8,7 +8,9 @@
 
 use std::time::Duration;
 
+use xqr_core::EngineOptions;
 use xqr_pressure::{Category, PressureConfig, PressureState};
+use xqr_runtime::ParallelConfig;
 use xqr_service::{QueryService, ServiceConfig};
 use xqr_xdm::{ErrorCode, Limits};
 
@@ -205,4 +207,106 @@ fn catalog_bytes_mirror_into_the_ledger_through_the_service() {
             .current,
         0
     );
+}
+
+#[test]
+fn chunk_sessions_charge_what_they_hold_not_what_they_were_fed() {
+    // About 1 MiB: one small title, then many items.
+    const TITLE: &str = "<title>news</title>";
+    const T: &str = "<t>payload payload payload</t>";
+    let doc = format!(
+        "<feed>{TITLE}{}</feed>",
+        format!("<item>{T}</item>").repeat(24_400)
+    );
+    let chunk_charge = |svc: &QueryService| {
+        svc.ledger()
+            .snapshot()
+            .category(Category::ChunkSessions)
+            .current
+    };
+
+    // Only a selective streamable subscription: the document is matched
+    // as it arrives, so the session holds its base, the lexer's buffer
+    // and one small match, however many bytes go through it.
+    let svc = governed(256 << 10);
+    let sub = svc.subscribe("/feed/title").unwrap();
+    let id = svc.open_chunk_session("big").unwrap();
+    for chunk in doc.as_bytes().chunks(4096) {
+        svc.feed_chunk(id, chunk).unwrap();
+        assert!(chunk_charge(&svc) < 16 << 10, "{}", chunk_charge(&svc));
+    }
+    assert_eq!(svc.ledger().state(), PressureState::Green);
+    let report = svc.finish_chunk_session(id).unwrap();
+    assert_eq!(report.result_for(sub).unwrap().as_ref().unwrap(), TITLE);
+    assert_eq!(chunk_charge(&svc), 0);
+
+    // Streamed matches are held until finish delivers them, so they are
+    // charged as they complete, and the ceiling stops a session whose
+    // matches outgrow it.
+    let svc = governed(256 << 10);
+    svc.subscribe("/feed/item/t").unwrap();
+    let id = svc.open_chunk_session("big").unwrap();
+    let mut fed = 0;
+    let err = doc
+        .as_bytes()
+        .chunks(4096)
+        .find_map(|chunk| {
+            let r = svc.feed_chunk(id, chunk).err();
+            fed += chunk.len();
+            let matched = doc[..fed].matches("</t>").count() * T.len();
+            if r.is_none() {
+                assert!(chunk_charge(&svc) >= matched as u64, "{fed}");
+            }
+            r
+        })
+        .expect("a session collecting every item must hit the ceiling");
+    assert_eq!(err.code, ErrorCode::Overloaded, "{err}");
+    assert_eq!(chunk_charge(&svc), 0);
+
+    // A fallback subscription needs the whole text at finish, so the
+    // buffered copy is charged and the ceiling still stops it.
+    let svc = governed(256 << 10);
+    svc.subscribe("count(//item)").unwrap();
+    let id = svc.open_chunk_session("big").unwrap();
+    let err = doc
+        .as_bytes()
+        .chunks(4096)
+        .find_map(|chunk| svc.feed_chunk(id, chunk).err())
+        .expect("a buffering session must hit the ceiling");
+    assert_eq!(err.code, ErrorCode::Overloaded, "{err}");
+    assert_eq!(
+        chunk_charge(&svc),
+        0,
+        "the failed session released its charge"
+    );
+}
+
+#[test]
+fn pressure_join_sheds_are_counted_per_service() {
+    // Two services in one process, both forcing morsel splits. Only the
+    // one pushed to Yellow runs its join inline; the other must not see
+    // that shed in its own stats.
+    let forced = || {
+        QueryService::new(ServiceConfig {
+            engine: EngineOptions::default().with_parallel(ParallelConfig::forced(4)),
+            pressure: PressureConfig::with_ceiling(64 << 20),
+            ..Default::default()
+        })
+    };
+    let xml = format!("<r>{}</r>", "<a><b/><c/></a>".repeat(200));
+    let query = r#"count(doc("d.xml")//a[b]//c)"#;
+    let (shed, quiet) = (forced(), forced());
+    for svc in [&shed, &quiet] {
+        svc.load_document("d.xml", &xml).unwrap();
+    }
+
+    shed.ledger().charge(Category::QueryOutput, 50 << 20);
+    assert_eq!(shed.ledger().state(), PressureState::Yellow);
+    assert_eq!(shed.run(query).unwrap(), "200");
+    assert_eq!(quiet.run(query).unwrap(), "200");
+
+    let (s, q) = (shed.stats(), quiet.stats());
+    assert_eq!((s.joins_shed_pressure, s.parallel_joins), (1, 0), "{s}");
+    assert_eq!((q.joins_shed_pressure, q.parallel_joins), (0, 1), "{q}");
+    shed.ledger().release(Category::QueryOutput, 50 << 20);
 }

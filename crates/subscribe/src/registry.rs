@@ -19,9 +19,13 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use xqr_core::{contain_panic, Engine, Item, NodeId, NodeRef, PreparedQuery};
+// Registry state is only mutated under short, panic-free critical
+// sections, so a poisoned lock's data is sound to adopt; recoveries land
+// in the process-wide `lock_recoveries` gauge.
+use xqr_parallel::lock_recover;
 use xqr_runtime::{
     run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, Counters, DynamicContext,
     StreamPattern, StreamStats,
@@ -78,13 +82,13 @@ impl CollectingSink {
     }
 
     pub fn take(&self) -> Vec<(String, Result<String>)> {
-        std::mem::take(&mut lock_unpoisoned(&self.received))
+        std::mem::take(&mut lock_recover(&self.received))
     }
 }
 
 impl SubscriptionSink for CollectingSink {
     fn deliver(&self, delivery: &Delivery<'_>) -> Result<()> {
-        lock_unpoisoned(&self.received)
+        lock_recover(&self.received)
             .push((delivery.document.to_string(), delivery.outcome.clone()));
         Ok(())
     }
@@ -154,13 +158,6 @@ pub struct SubscriptionRegistry {
     stream_matches: AtomicU64,
 }
 
-/// Mutex recovery without the service crate's `lock_recover`: registry
-/// state is only mutated under short, panic-free critical sections, so
-/// a poisoned lock's data is sound to adopt.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// What one publish did — per-subscription outcomes plus the shared
 /// pass's instrumentation.
 #[derive(Debug)]
@@ -219,7 +216,7 @@ impl SubscriptionRegistry {
             limits,
             sink,
         });
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         inner.plan = None;
         if let Some(slot) = inner.free.pop() {
             let entry = &mut inner.slots[slot as usize];
@@ -245,7 +242,7 @@ impl SubscriptionRegistry {
     /// (already unsubscribed, or their slot was reused) — never touches
     /// the current occupant of a reused slot.
     pub fn unregister(&self, id: SubId) -> bool {
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         match inner.slots.get_mut(id.slot as usize) {
             Some(entry) if entry.generation == id.generation && entry.sub.is_some() => {
                 entry.sub = None;
@@ -259,13 +256,13 @@ impl SubscriptionRegistry {
 
     /// Live subscription count.
     pub fn active(&self) -> usize {
-        let inner = lock_unpoisoned(&self.inner);
+        let inner = lock_recover(&self.inner);
         inner.slots.iter().filter(|s| s.sub.is_some()).count()
     }
 
     /// The registered query text, if the id is live (diagnostics).
     pub fn query_of(&self, id: SubId) -> Option<String> {
-        let inner = lock_unpoisoned(&self.inner);
+        let inner = lock_recover(&self.inner);
         inner
             .slots
             .get(id.slot as usize)
@@ -275,7 +272,7 @@ impl SubscriptionRegistry {
     }
 
     fn plan(&self) -> Arc<PublishPlan> {
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         if let Some(plan) = &inner.plan {
             return plan.clone();
         }
@@ -670,12 +667,16 @@ impl PublishSession {
         self.bytes_fed
     }
 
-    /// Bytes parked in the lexer awaiting a complete syntactic unit.
-    pub fn buffered_bytes(&self) -> usize {
-        self.streaming
+    /// Bytes this session holds for its document: the whole text when a
+    /// fallback subscription will need it at finish, the lexer's buffers,
+    /// and the streamed subscriptions' matches, which are collected
+    /// until `finish` delivers them.
+    pub fn held_bytes(&self) -> usize {
+        let streamed = self
+            .streaming
             .as_ref()
-            .map(|s| s.tokenizer.buffered_bytes())
-            .unwrap_or(0)
+            .map_or(0, |s| s.tokenizer.held_bytes() + s.run.held_bytes());
+        self.fallback_buf.as_ref().map_or(0, Vec::len) + streamed
     }
 
     /// Matches delivered to streamable subscriptions so far — visible

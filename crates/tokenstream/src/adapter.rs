@@ -172,32 +172,12 @@ impl<'a> TokenIterator for ParserTokenIterator<'a> {
 impl TokenStream {
     /// Materialize a whole XML document into a token stream.
     pub fn from_xml(input: &str, names: Arc<NamePool>) -> Result<TokenStream> {
-        let mut it = ParserTokenIterator::new(input, names.clone());
-        let mut b = TokenStream::builder(names);
-        while let Some(t) = it.next_token()? {
-            // Re-intern through the builder's own pool so ids are dense in
-            // this stream.
-            let t = match t {
-                Token::Attribute(n, v) => Token::Attribute(n, b.intern_str(&it.pooled_str(v))),
-                Token::NamespaceDecl(p, u) => {
-                    let p2 = b.intern_str(&it.pooled_str(p));
-                    let u2 = b.intern_str(&it.pooled_str(u));
-                    Token::NamespaceDecl(p2, u2)
-                }
-                Token::Text(s) => Token::Text(b.intern_str(&it.pooled_str(s))),
-                Token::Comment(s) => Token::Comment(b.intern_str(&it.pooled_str(s))),
-                Token::ProcessingInstruction(n, d) => {
-                    Token::ProcessingInstruction(n, b.intern_str(&it.pooled_str(d)))
-                }
-                other => other,
-            };
-            b.push(t);
-        }
-        b.finish()
+        materialize(&mut ParserTokenIterator::new(input, names.clone()), names)
     }
 }
 
-/// Copy every token from `it` into a new materialized stream.
+/// Copy every token from `it` into a new materialized stream, re-interning
+/// strings through the builder's own pool so ids are dense in this stream.
 pub fn materialize(it: &mut dyn TokenIterator, names: Arc<NamePool>) -> Result<TokenStream> {
     let mut b = TokenStream::builder(names);
     while let Some(t) = it.next_token()? {

@@ -163,9 +163,10 @@ impl PushTokenizer {
         self.reader.position()
     }
 
-    /// Bytes buffered awaiting a complete syntactic unit.
-    pub fn buffered_bytes(&self) -> usize {
-        self.reader.buffered_bytes()
+    /// Bytes the lexer's buffers hold: the incomplete syntactic unit
+    /// plus the consumed prefix not yet compacted away.
+    pub fn held_bytes(&self) -> usize {
+        self.reader.held_bytes()
     }
 
     pub fn names(&self) -> &Arc<NamePool> {

@@ -7,10 +7,9 @@
 //! name-test comparisons in path steps and structural joins are integer
 //! compares, never string compares.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// An expanded qualified name: optional namespace URI, optional prefix and
 /// a local part. Per the XPath data model, equality ignores the prefix.
@@ -149,15 +148,21 @@ impl NamePool {
         }
     }
 
+    // The pool is append-only and its write section cannot panic, so a
+    // poisoned lock still guards consistent data: recover it.
+    fn read(&self) -> RwLockReadGuard<'_, PoolInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Intern a name, returning its dense id (idempotent).
     pub fn intern(&self, name: &QName) -> NameId {
         {
-            let inner = self.inner.read();
+            let inner = self.read();
             if let Some(id) = inner.index.get(name) {
                 return *id;
             }
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(id) = inner.index.get(name) {
             return *id;
         }
@@ -175,12 +180,12 @@ impl NamePool {
     /// Resolve an id back to the full name. Panics on an id from a
     /// different pool, which is a logic error by construction.
     pub fn resolve(&self, id: NameId) -> QName {
-        self.inner.read().names[id.0 as usize].clone()
+        self.read().names[id.0 as usize].clone()
     }
 
     /// Number of distinct names interned so far (incl. the absent name).
     pub fn len(&self) -> usize {
-        self.inner.read().names.len()
+        self.read().names.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -189,7 +194,7 @@ impl NamePool {
 
     /// Look up without interning.
     pub fn get(&self, name: &QName) -> Option<NameId> {
-        self.inner.read().index.get(name).copied()
+        self.read().index.get(name).copied()
     }
 }
 

@@ -25,8 +25,9 @@
 //! `pending_end`) only *after* a complete syntactic unit has been
 //! consumed; an attempt that runs out of buffered bytes only ever moved
 //! `pos`, which is restored. Consumed input is drained from the front of
-//! the buffer after every delivered event, so memory is bounded by the
-//! largest single event plus one chunk, not the document. All error
+//! the buffer between events once it is at least half the buffer, so
+//! memory is bounded by about twice the largest single event plus one
+//! chunk, not the document. All error
 //! positions are absolute byte offsets from the start of the document
 //! (`base + pos`), which stay meaningful when input arrives in chunks.
 
@@ -39,6 +40,10 @@ use xqr_xdm::{Error, ErrorCode, QName, QueryGuard, Result};
 
 pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
 pub const XMLNS_NS: &str = "http://www.w3.org/2000/xmlns/";
+
+/// Smallest consumed prefix an incremental reader drains (see
+/// `XmlReader::compact`).
+const COMPACT_MIN_BYTES: usize = 4096;
 
 /// Hard cap on element nesting regardless of any [`QueryGuard`] limit:
 /// downstream consumers (store build, serializer) recurse over element
@@ -96,6 +101,9 @@ pub struct XmlReader<'a> {
     max_depth: usize,
     /// Optional per-execution budget: nesting depth, document size.
     guard: Option<QueryGuard>,
+    /// Bytes moved to the front of the buffer by compaction.
+    #[cfg(test)]
+    compacted_bytes: usize,
 }
 
 /// `rest` could still grow into `full` with more input.
@@ -122,6 +130,8 @@ impl<'a> XmlReader<'a> {
             seen_root: false,
             max_depth: DEFAULT_MAX_DEPTH,
             guard: None,
+            #[cfg(test)]
+            compacted_bytes: 0,
         }
     }
 
@@ -145,10 +155,12 @@ impl<'a> XmlReader<'a> {
         self.base + self.pos
     }
 
-    /// Bytes buffered but not yet consumed (incremental mode): the
-    /// in-progress event plus any incomplete trailing UTF-8 sequence.
-    pub fn buffered_bytes(&self) -> usize {
-        self.buf.len() - self.pos + self.carry.len()
+    /// Bytes the reader's buffers hold (incremental mode): the
+    /// in-progress event, the consumed prefix that compaction has not yet
+    /// drained (at most about as much again, or 4 KiB), and any incomplete
+    /// trailing UTF-8 sequence.
+    pub fn held_bytes(&self) -> usize {
+        self.buf.len() + self.carry.len()
     }
 
     fn src(&self) -> &str {
@@ -940,17 +952,25 @@ impl XmlReader<'static> {
     }
 
     /// Drop consumed bytes from the front of the buffer so memory tracks
-    /// the in-progress event, not the document.
+    /// the in-progress event, not the document. Deferred until the
+    /// consumed prefix is at least half the buffer (and at least
+    /// [`COMPACT_MIN_BYTES`]): each drain then moves no more bytes than
+    /// it frees, so a document fed as one large chunk costs O(bytes)
+    /// in total, not O(bytes × events).
     fn compact(&mut self) {
-        if self.pos == 0 {
+        *self.hint.borrow_mut() = None;
+        if self.pos < COMPACT_MIN_BYTES || self.pos < self.buf.len() - self.pos {
             return;
         }
         if let Cow::Owned(s) = &mut self.buf {
+            #[cfg(test)]
+            {
+                self.compacted_bytes += s.len() - self.pos;
+            }
             s.drain(..self.pos);
         }
         self.base += self.pos;
         self.pos = 0;
-        *self.hint.borrow_mut() = None;
     }
 }
 
@@ -1433,7 +1453,7 @@ mod tests {
     #[test]
     fn incremental_buffer_is_compacted_between_events() {
         // Stream a long document; after draining, the buffer must hold
-        // only the unconsumed tail, not everything ever fed.
+        // at most the compaction threshold, not everything ever fed.
         let mut r = XmlReader::incremental();
         r.feed(b"<r>").unwrap();
         let mut n = 0;
@@ -1443,9 +1463,9 @@ mod tests {
                 n += 1;
             }
             assert!(
-                r.buffered_bytes() < 64,
+                r.held_bytes() < 2 * COMPACT_MIN_BYTES,
                 "consumed events must be drained, {} bytes held",
-                r.buffered_bytes()
+                r.held_bytes()
             );
         }
         r.feed(b"</r>").unwrap();
@@ -1457,6 +1477,32 @@ mod tests {
             }
         }
         assert_eq!(n, 2 + 3 * 1000 + 2); // SD <r> (SE T EE)×1000 </r> ED
+    }
+
+    #[test]
+    fn one_large_chunk_is_compacted_in_linear_time() {
+        // A 1 MiB document fed as one chunk. Draining the consumed prefix
+        // after every event would move the rest of the buffer once per
+        // event; deferred compaction moves each byte at most about once.
+        let mut doc = String::from("<feed>");
+        while doc.len() < 1 << 20 {
+            doc.push_str(&format!("<item><t>{}</t></item>", "x".repeat(200)));
+        }
+        doc.push_str("</feed>");
+        let mut r = XmlReader::incremental();
+        r.feed(doc.as_bytes()).unwrap();
+        r.finish().unwrap();
+        let mut events = Vec::new();
+        while let Some(ev) = r.poll_event().unwrap() {
+            events.push(ev);
+        }
+        assert_eq!(events, parse_events(&doc).unwrap());
+        assert!(
+            r.compacted_bytes < 2 * doc.len(),
+            "compaction moved {} bytes for a {}-byte document",
+            r.compacted_bytes,
+            doc.len()
+        );
     }
 
     #[test]
