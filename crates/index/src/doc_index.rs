@@ -63,6 +63,11 @@ impl Postings {
         self.labels.push(label);
         self.paths.push(path);
     }
+
+    fn shrink_to_fit(&mut self) {
+        self.labels.shrink_to_fit();
+        self.paths.shrink_to_fit();
+    }
 }
 
 /// Read access to a document's inverted lists, as consumed by the join
@@ -208,6 +213,11 @@ impl DocIndex {
                 }
                 _ => {}
             }
+        }
+        // The postings are final: drop their growth slack.
+        for map in [&mut elements, &mut attributes] {
+            map.values_mut().for_each(Postings::shrink_to_fit);
+            map.shrink_to_fit();
         }
         let mut index = DocIndex {
             paths,

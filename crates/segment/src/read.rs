@@ -20,7 +20,7 @@ use std::path::Path;
 use std::sync::Arc;
 use xqr_joins::Labeled;
 use xqr_store::{DocPartsOwned, Document};
-use xqr_tokenstream::{decode, StringPool, TokenStream};
+use xqr_tokenstream::{decode, StrArena, TokenStream};
 use xqr_xdm::{Error, NameId, NamePool, Result};
 
 const LABEL_BYTES: usize = std::mem::size_of::<Labeled>();
@@ -203,6 +203,9 @@ impl Segment {
             strings.push(r.str()?);
         }
         r.finish()?;
+        let payload = strings.iter().map(|s| s.len()).sum();
+        let strings = StrArena::from_strings(strings.into_iter(), payload)
+            .map_err(|e| corrupt(&format!("segment strings invalid: {e}")))?;
         Document::from_raw_parts(
             names.clone(),
             DocPartsOwned {
@@ -214,7 +217,7 @@ impl Segment {
                 subtree_ends,
                 levels,
                 values,
-                strings: StringPool::from_strings(strings),
+                strings,
                 uri: self.uri.clone(),
             },
         )

@@ -216,3 +216,44 @@ fn random_documents_roundtrip() {
         }
     }
 }
+
+#[test]
+fn frozen_documents_survive_a_segment_file_round_trip() {
+    // Parsed documents keep the tokenizer's pool, frozen into one arena;
+    // merged text, namespace prefixes and CRLF-normalized values must
+    // come back from a real segment file byte for byte.
+    let dir = std::env::temp_dir().join(format!("xqr-seg-frozen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let docs = [
+        SAMPLE.to_string(),
+        "<a k=\"x\r\ny\">t<![CDATA[<c>]]>&amp;u\r\n<!--c\r\n--><?p d\r\n?></a>".to_string(),
+        r#"<r xmlns="urn:d" xmlns:p="urn:p"><p:b p:k="1">&#x65e5;</p:b><c xmlns=""/></r>"#
+            .to_string(),
+        xqr_xmlgen::bibliography(9, 30),
+    ];
+    for (i, xml) in docs.iter().enumerate() {
+        let (doc, index, _) = build(xml, Some("f.xml"));
+        let bytes = segment_bytes(&doc, &index).unwrap();
+        let file = format!("seg-{i}.seg");
+        write_segment_file(&dir, &file, &bytes).unwrap();
+        let seg = Segment::open(&dir.join(&file)).unwrap();
+        let (loaded, _) = seg.load(&Arc::new(NamePool::new())).unwrap();
+        assert_eq!(
+            loaded.serialize_node(loaded.root()),
+            doc.serialize_node(doc.root()),
+            "document {i}"
+        );
+        for n in 0..doc.len() as u32 {
+            let n = xqr_store::NodeId(n);
+            assert_eq!(loaded.value(n), doc.value(n), "document {i} node {n:?}");
+        }
+        let lindex = DocIndex::build(&loaded).unwrap();
+        assert_eq!(
+            bytes,
+            segment_bytes(&loaded, &lindex).unwrap(),
+            "document {i}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

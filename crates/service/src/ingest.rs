@@ -388,7 +388,10 @@ struct StreamedQuery {
 impl StreamedQuery {
     /// Feed one chunk (`None`: end of input) and push every token it
     /// completes through the run, appending the matches they complete.
-    fn advance(&mut self, chunk: Option<&[u8]>) -> Result<()> {
+    /// The ledger `charge` then covers the session base plus the output
+    /// held so far; growth past the ceiling fails the query with
+    /// `err:XQRL0004`.
+    fn advance(&mut self, chunk: Option<&[u8]>, charge: &mut Charge) -> Result<()> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
@@ -398,19 +401,19 @@ impl StreamedQuery {
                 None => self.tokenizer.finish()?,
             }
             let guard = &self.guard;
-            let mut charge = |_, bytes| guard.note_output_bytes(bytes);
+            let mut note_output = |_, bytes| guard.note_output_bytes(bytes);
             while let Some(tok) = self.tokenizer.poll_token()? {
                 // Skip hints are ignored: tokens arrive whether we want
                 // them or not, and the run absorbs dead subtrees.
                 self.run
-                    .push(&self.automaton, &tok, &self.tokenizer, &mut charge)?;
+                    .push(&self.automaton, &tok, &self.tokenizer, &mut note_output)?;
                 if tok == Token::EndElement {
                     for m in self.run.take_completed(0)? {
                         self.out.push_str(&m);
                     }
                 }
             }
-            Ok(())
+            charge.try_resize(SESSION_BASE_BYTES + self.out.len() as u64)
         });
         if let Err(e) = &r {
             self.failed = Some(e.clone());
@@ -442,7 +445,7 @@ impl StreamQuery<'_> {
     /// budget fails this call and every later one.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<()> {
         match &mut self.inner {
-            StreamQueryInner::Streamed(q) => q.advance(Some(chunk)),
+            StreamQueryInner::Streamed(q) => q.advance(Some(chunk), &mut self.charge),
             StreamQueryInner::Buffered { buf, .. } => {
                 buf.extend_from_slice(chunk);
                 self.charge.grow(chunk.len() as u64);
@@ -472,7 +475,8 @@ impl StreamQuery<'_> {
     pub fn finish(self) -> Result<String> {
         match self.inner {
             StreamQueryInner::Streamed(mut q) => {
-                let outcome = q.advance(None).map(|()| {
+                let mut charge = self.charge;
+                let outcome = q.advance(None, &mut charge).map(|()| {
                     self.service.shared.record_stream(q.run.stats());
                     std::mem::take(&mut q.out)
                 });

@@ -560,8 +560,9 @@ impl QueryService {
             }) as Box<dyn FnOnce() + Send>
         });
         self.pool.submit_governed(deadline, expire, move || {
-            let outcome = shared
-                .acquire_plan(&query)
+            // A panic while compiling or caching the plan is this query's
+            // internal error, not a dropped ticket.
+            let outcome = xqr_core::contain_panic(|| shared.acquire_plan(&query))
                 .and_then(|plan| plan.execute_guarded(&shared.engine, &ctx, guard))
                 .and_then(|result| {
                     shared.record_counters(&result.counters);
@@ -689,8 +690,7 @@ impl QueryService {
                 .iter()
                 .map(|query| {
                     count(&shared.counters.batch_queries, 1);
-                    let outcome = shared
-                        .acquire_plan(query)
+                    let outcome = xqr_core::contain_panic(|| shared.acquire_plan(query))
                         .and_then(|plan| {
                             plan.execute_shared_scans(
                                 &shared.engine,

@@ -11,7 +11,9 @@
 
 use crate::index::TagIndex;
 use std::sync::Arc;
-use xqr_tokenstream::{ParserTokenIterator, StringPool, Token, TokenIterator};
+use xqr_tokenstream::{
+    ParserTokenIterator, StrArena, StrId, StringPool, Token, TokenIterator, TokenResolve,
+};
 use xqr_xdm::{Error, NameId, NamePool, NodeKind, QName, Result};
 
 /// Identifies a document within a [`crate::store::Store`].
@@ -70,7 +72,7 @@ pub struct Document {
     /// Pooled content: text of text/comment nodes, value of attributes,
     /// data of PIs, uri of namespace nodes. `NO_NODE` when absent.
     values: Vec<u32>,
-    strings: StringPool,
+    strings: StrArena,
     tag_index: TagIndex,
     /// Base URI (document-uri); informational.
     pub uri: Option<String>,
@@ -119,22 +121,9 @@ impl Document {
             b = b.with_uri(u);
         }
         while let Some(t) = it.next_token()? {
-            match t {
-                Token::StartDocument => b.start_document(),
-                Token::EndDocument => b.end(),
-                Token::StartElement(n) => b.start_element_id(n),
-                Token::EndElement => b.end(),
-                Token::Attribute(n, v) => b.attribute_id(n, &it.pooled_str(v)),
-                Token::NamespaceDecl(p, u) => b.namespace(&it.pooled_str(p), &it.pooled_str(u)),
-                Token::Text(s) => b.text(&it.pooled_str(s)),
-                Token::Comment(s) => b.comment(&it.pooled_str(s)),
-                Token::ProcessingInstruction(n, d) => {
-                    let q = it.name(n);
-                    b.pi(q.local_name(), &it.pooled_str(d));
-                }
-            }
+            b.token(t, it);
         }
-        b.finish()
+        b.finish_from(it)
     }
 
     pub fn len(&self) -> usize {
@@ -205,7 +194,7 @@ impl Document {
     /// value, namespace uri).
     pub fn value(&self, n: NodeId) -> Option<&str> {
         let v = self.values[n.0 as usize];
-        (v != NO_NODE).then(|| self.strings.get(xqr_tokenstream::StrId(v)))
+        (v != NO_NODE).then(|| self.strings.get(StrId(v)))
     }
 
     /// `string-value` accessor: concatenated descendant text for
@@ -343,7 +332,9 @@ impl Document {
     /// invariants that later accessors index on without bounds checks,
     /// so a logic error in a segment reader surfaces here as a coded
     /// error rather than a panic mid-query. The tag index is rebuilt
-    /// (one cheap pass) instead of being persisted.
+    /// (one cheap pass) instead of being persisted. The arrays are kept
+    /// as given: a loader that sizes them exactly yields the same compact
+    /// document a build does.
     pub fn from_raw_parts(names: Arc<NamePool>, parts: DocPartsOwned) -> Result<Arc<Document>> {
         let n = parts.kinds.len();
         if parts.node_names.len() != n
@@ -575,7 +566,7 @@ pub struct DocParts<'a> {
     pub subtree_ends: &'a [u32],
     pub levels: &'a [u16],
     pub values: &'a [u32],
-    pub strings: &'a StringPool,
+    pub strings: &'a StrArena,
     pub uri: Option<&'a str>,
 }
 
@@ -590,7 +581,7 @@ pub struct DocPartsOwned {
     pub subtree_ends: Vec<u32>,
     pub levels: Vec<u16>,
     pub values: Vec<u32>,
-    pub strings: StringPool,
+    pub strings: StrArena,
     pub uri: Option<String>,
 }
 
@@ -646,6 +637,16 @@ impl DocumentBuilder {
     }
 
     fn push_node(&mut self, kind: NodeKind, name: NameId, value: Option<&str>) -> u32 {
+        let value = match value {
+            Some(v) => self.doc.strings.intern(v).0,
+            None => NO_NODE,
+        };
+        self.push_node_id(kind, name, value)
+    }
+
+    /// [`DocumentBuilder::push_node`] for a value already pooled
+    /// (`NO_NODE`: none).
+    fn push_node_id(&mut self, kind: NodeKind, name: NameId, value: u32) -> u32 {
         let idx = self.doc.kinds.len() as u32;
         let parent = self.open.last().copied().unwrap_or(NO_NODE);
         self.doc.kinds.push(kind);
@@ -655,10 +656,7 @@ impl DocumentBuilder {
         self.doc.first_children.push(NO_NODE);
         self.doc.subtree_ends.push(idx);
         self.doc.levels.push(self.open.len() as u16);
-        self.doc.values.push(match value {
-            Some(v) => self.doc.strings.intern(v).0,
-            None => NO_NODE,
-        });
+        self.doc.values.push(value);
         // Attribute/namespace nodes attach to the parent but do not chain
         // into the child list.
         let is_attrish = matches!(kind, NodeKind::Attribute | NodeKind::Namespace);
@@ -719,25 +717,29 @@ impl DocumentBuilder {
     }
 
     pub fn text(&mut self, content: &str) {
+        let id = self.doc.strings.intern(content);
+        self.text_id(id, None);
+    }
+
+    /// Add a text node whose content is `id` in `lent`, or in the
+    /// builder's own pool when `lent` is `None`. Adjacent text nodes
+    /// merge, per the data model; the merged string is interned into the
+    /// same pool.
+    fn text_id(&mut self, id: StrId, lent: Option<&mut StringPool>) {
         self.start_document();
-        // Adjacent text nodes merge, per the data model.
         if let Some(&last) = self.last_child.last() {
             if last != NO_NODE
                 && self.doc.kinds[last as usize] == NodeKind::Text
                 && last == (self.doc.kinds.len() as u32 - 1)
             {
-                let merged = format!(
-                    "{}{}",
-                    self.doc
-                        .strings
-                        .get(xqr_tokenstream::StrId(self.doc.values[last as usize])),
-                    content
-                );
-                self.doc.values[last as usize] = self.doc.strings.intern(&merged).0;
+                let pool = lent.unwrap_or(&mut self.doc.strings);
+                let value = &mut self.doc.values[last as usize];
+                let merged = format!("{}{}", pool.get(StrId(*value)), pool.get(id));
+                *value = pool.intern(&merged).0;
                 return;
             }
         }
-        self.push_node(NodeKind::Text, NameId::NONE, Some(content));
+        self.push_node_id(NodeKind::Text, NameId::NONE, id.0);
     }
 
     pub fn comment(&mut self, content: &str) {
@@ -751,6 +753,71 @@ impl DocumentBuilder {
         self.push_node(NodeKind::ProcessingInstruction, id, Some(data));
     }
 
+    /// Add one token from `src`, which resolves its ids — the one
+    /// token→builder mapping, for pulled and pushed tokens alike. When
+    /// `src` lends its pool ([`TokenResolve::pool_mut`]) string ids are
+    /// kept as they are and [`DocumentBuilder::finish_from`] adopts the
+    /// pool; otherwise each string is interned into the builder's own.
+    pub fn token(&mut self, t: Token, src: &mut (impl TokenResolve + ?Sized)) {
+        let lends = src.pool_mut().is_some();
+        let keep = |b: &mut DocumentBuilder, id: StrId| -> u32 {
+            if lends {
+                id.0
+            } else {
+                b.doc.strings.intern(&src.pooled_str(id)).0
+            }
+        };
+        match t {
+            Token::StartDocument => self.start_document(),
+            Token::EndDocument | Token::EndElement => self.end(),
+            Token::StartElement(n) => self.start_element_id(n),
+            Token::Attribute(n, v) => {
+                let v = keep(self, v);
+                self.push_node_id(NodeKind::Attribute, n, v);
+            }
+            Token::NamespaceDecl(p, u) => {
+                let prefix = self.doc.names.intern(&QName::local(&src.pooled_str(p)));
+                let u = keep(self, u);
+                self.push_node_id(NodeKind::Namespace, prefix, u);
+            }
+            Token::Text(s) => {
+                let s = StrId(keep(self, s));
+                self.text_id(s, src.pool_mut());
+            }
+            Token::Comment(s) => {
+                self.start_document();
+                let s = keep(self, s);
+                self.push_node_id(NodeKind::Comment, NameId::NONE, s);
+            }
+            Token::ProcessingInstruction(n, d) => {
+                self.start_document();
+                let target = self
+                    .doc
+                    .names
+                    .intern(&QName::local(src.name(n).local_name()));
+                let d = keep(self, d);
+                self.push_node_id(NodeKind::ProcessingInstruction, target, d);
+            }
+        }
+    }
+
+    /// [`DocumentBuilder::finish`] for a builder fed by
+    /// [`DocumentBuilder::token`] from `src`: a lent pool becomes the
+    /// document's.
+    pub fn finish_from(mut self, src: &mut (impl TokenResolve + ?Sized)) -> Result<Arc<Document>> {
+        if let Some(pool) = src.pool_mut() {
+            if !self.doc.strings.is_empty() {
+                return Err(Error::internal(
+                    "document builder mixed its own strings with a lent pool",
+                ));
+            }
+            self.doc.strings = std::mem::take(pool);
+        }
+        self.finish()
+    }
+
+    /// Close the document and freeze it: the node columns drop their
+    /// growth slack and the string pool becomes one arena plus offsets.
     pub fn finish(mut self) -> Result<Arc<Document>> {
         if !self.started {
             self.start_document();
@@ -768,7 +835,15 @@ impl DocumentBuilder {
             }
         }
         let tag_index = TagIndex::build(&self.doc.kinds, &self.doc.node_names);
-        let d = self.doc;
+        let mut d = self.doc;
+        d.kinds.shrink_to_fit();
+        d.node_names.shrink_to_fit();
+        d.parents.shrink_to_fit();
+        d.next_siblings.shrink_to_fit();
+        d.first_children.shrink_to_fit();
+        d.subtree_ends.shrink_to_fit();
+        d.levels.shrink_to_fit();
+        d.values.shrink_to_fit();
         Ok(Arc::new(Document {
             names: d.names,
             kinds: d.kinds,
@@ -779,7 +854,7 @@ impl DocumentBuilder {
             subtree_ends: d.subtree_ends,
             levels: d.levels,
             values: d.values,
-            strings: d.strings,
+            strings: d.strings.freeze()?,
             tag_index,
             uri: d.uri,
         }))

@@ -14,7 +14,8 @@ pub struct TagIndex {
 
 impl TagIndex {
     /// Build from the parallel kind/name arrays (node id == array index,
-    /// already in document order).
+    /// already in document order). The lists are trimmed to size: the
+    /// index lives as long as its document and never grows.
     pub fn build(kinds: &[NodeKind], names: &[NameId]) -> Self {
         let mut idx = TagIndex::default();
         for (i, (&kind, &name)) in kinds.iter().zip(names).enumerate() {
@@ -23,6 +24,10 @@ impl TagIndex {
                 NodeKind::Attribute => idx.attributes.entry(name).or_default().push(i as u32),
                 _ => {}
             }
+        }
+        for map in [&mut idx.elements, &mut idx.attributes] {
+            map.values_mut().for_each(Vec::shrink_to_fit);
+            map.shrink_to_fit();
         }
         idx
     }

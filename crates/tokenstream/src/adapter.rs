@@ -56,7 +56,7 @@ impl<'a> ParserTokenIterator<'a> {
     }
 
     fn enqueue_event(&mut self, ev: XmlEvent) {
-        if event_to_tokens(&ev, &self.names, &mut self.pool, &mut self.queue) {
+        if event_to_tokens(ev, &self.names, &mut self.pool, &mut self.queue) {
             self.finished = true;
         }
     }
@@ -65,9 +65,10 @@ impl<'a> ParserTokenIterator<'a> {
 /// The one mapping from parser events to data-model tokens, shared by the
 /// pull adapter above and the push tokenizer — both paths MUST produce
 /// identical token sequences (the chunked-vs-whole differential oracle
-/// depends on it). Returns true when the event ends the document.
+/// depends on it). The event's strings move into the pool uncopied.
+/// Returns true when the event ends the document.
 pub(crate) fn event_to_tokens(
-    ev: &XmlEvent,
+    ev: XmlEvent,
     names: &NamePool,
     pool: &mut StringPool,
     queue: &mut VecDeque<Token>,
@@ -84,31 +85,31 @@ pub(crate) fn event_to_tokens(
             namespaces,
             ..
         } => {
-            let n = names.intern(name);
+            let n = names.intern(&name);
             queue.push_back(Token::StartElement(n));
             for d in namespaces {
                 let p = pool.intern(d.prefix.as_deref().unwrap_or(""));
-                let u = pool.intern(&d.uri);
+                let u = pool.intern_arc(d.uri);
                 queue.push_back(Token::NamespaceDecl(p, u));
             }
             for a in attributes {
                 let an = names.intern(&a.name);
-                let av = pool.intern(&a.value);
+                let av = pool.intern_arc(a.value);
                 queue.push_back(Token::Attribute(an, av));
             }
         }
         XmlEvent::EndElement { .. } => queue.push_back(Token::EndElement),
         XmlEvent::Text(t) => {
-            let id = pool.intern(t);
+            let id = pool.intern_arc(t);
             queue.push_back(Token::Text(id));
         }
         XmlEvent::Comment(c) => {
-            let id = pool.intern(c);
+            let id = pool.intern_arc(c);
             queue.push_back(Token::Comment(id));
         }
         XmlEvent::ProcessingInstruction { target, data } => {
-            let tn = names.intern(&QName::local(target));
-            let dd = pool.intern(data);
+            let tn = names.intern(&QName::local(&target));
+            let dd = pool.intern_arc(data);
             queue.push_back(Token::ProcessingInstruction(tn, dd));
         }
     }
@@ -166,6 +167,12 @@ impl<'a> TokenIterator for ParserTokenIterator<'a> {
 
     fn name(&self, id: NameId) -> QName {
         self.names.resolve(id)
+    }
+
+    /// One pool covers the whole parse and is never recycled, so a
+    /// document built from this iterator can keep its ids.
+    fn pool_mut(&mut self) -> Option<&mut StringPool> {
+        Some(&mut self.pool)
     }
 }
 

@@ -8,6 +8,7 @@
 //! `skip` are the trait methods. Implementations must also resolve pooled
 //! ids, because consumers downstream of a pipe only hold the iterator.
 
+use crate::pool::StringPool;
 use crate::token::{StrId, Token};
 use std::sync::Arc;
 use xqr_xdm::{NameId, QName, Result};
@@ -27,6 +28,15 @@ pub trait TokenIterator {
 
     /// Resolve an interned name id.
     fn name(&self, id: NameId) -> QName;
+
+    /// The pool this source's string ids index, when one pool covers the
+    /// whole stream and is never recycled. A document built from the
+    /// source then keeps the ids as they are and adopts the pool instead
+    /// of interning every string again. `None` (the default) makes such
+    /// a consumer intern each resolved string into a pool of its own.
+    fn pool_mut(&mut self) -> Option<&mut StringPool> {
+        None
+    }
 }
 
 /// Id resolution alone — the read-only half of [`TokenIterator`].
@@ -44,6 +54,11 @@ pub trait TokenResolve {
 
     /// Resolve an interned name id.
     fn name(&self, id: NameId) -> QName;
+
+    /// See [`TokenIterator::pool_mut`].
+    fn pool_mut(&mut self) -> Option<&mut StringPool> {
+        None
+    }
 }
 
 impl<T: TokenIterator + ?Sized> TokenResolve for T {
@@ -53,6 +68,10 @@ impl<T: TokenIterator + ?Sized> TokenResolve for T {
 
     fn name(&self, id: NameId) -> QName {
         TokenIterator::name(self, id)
+    }
+
+    fn pool_mut(&mut self) -> Option<&mut StringPool> {
+        TokenIterator::pool_mut(self)
     }
 }
 
@@ -72,6 +91,10 @@ impl<T: TokenIterator + ?Sized> TokenIterator for Box<T> {
 
     fn name(&self, id: NameId) -> QName {
         (**self).name(id)
+    }
+
+    fn pool_mut(&mut self) -> Option<&mut StringPool> {
+        (**self).pool_mut()
     }
 }
 

@@ -43,7 +43,7 @@ pub use adapter::{materialize, push_event, tokens_to_events, tokens_to_xml, Pars
 pub use buffer::{BufferFactory, BufferedIterator};
 pub use encode::{decode, encode};
 pub use iterator::{drain, TokenIterator, TokenResolve};
-pub use pool::StringPool;
+pub use pool::{StrArena, StringPool};
 pub use push::PushTokenizer;
 pub use stream::{StreamIterator, TokenStream, TokenStreamBuilder};
 pub use token::{StrId, Token};

@@ -8,6 +8,7 @@
 use crate::token::StrId;
 use std::collections::HashMap;
 use std::sync::Arc;
+use xqr_xdm::{Error, Result};
 
 /// An append-only interning pool of strings. Not thread-safe by design:
 /// one pool belongs to one `TokenStream` under construction.
@@ -39,10 +40,22 @@ impl StringPool {
 
     /// Intern a string, returning its dense id.
     pub fn intern(&mut self, s: &str) -> StrId {
-        if let Some(id) = self.index.get(s) {
-            return *id;
+        match self.index.get(s) {
+            Some(id) => *id,
+            None => self.push(Arc::from(s)),
         }
-        let arc: Arc<str> = Arc::from(s);
+    }
+
+    /// [`StringPool::intern`] for a string the caller already holds as
+    /// an `Arc`: a new string is pooled without another copy.
+    pub fn intern_arc(&mut self, s: Arc<str>) -> StrId {
+        match self.index.get(&s) {
+            Some(id) => *id,
+            None => self.push(s),
+        }
+    }
+
+    fn push(&mut self, arc: Arc<str>) -> StrId {
         let id = StrId(
             self.base
                 .checked_add(self.strings.len() as u32)
@@ -92,25 +105,16 @@ impl StringPool {
         self.payload = 0;
     }
 
-    /// Rebuild a pool from its dumped string list (segment load path).
-    /// Ids are assigned in order, so a pool dumped via [`StringPool::iter`]
-    /// and rebuilt here preserves every `StrId`. Duplicate entries keep
-    /// the first id, matching intern semantics.
-    pub fn from_strings<I, S>(strings: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut pool = StringPool::new();
-        for s in strings {
-            let s = s.as_ref();
-            let arc: Arc<str> = Arc::from(s);
-            let id = StrId(pool.strings.len() as u32);
-            pool.payload += arc.len();
-            pool.strings.push(arc.clone());
-            pool.index.entry(arc).or_insert(id);
+    /// Freeze the pool into a [`StrArena`] holding the same ids: one
+    /// contiguous copy of every string, without the per-string `Arc`s
+    /// and the dedupe map, for a document that interns nothing more.
+    /// Fails on a recycled pool (its early ids are gone) and on more
+    /// than 4 GiB of strings (the arena's offsets are `u32`).
+    pub fn freeze(self) -> Result<StrArena> {
+        if self.base != 0 {
+            return Err(Error::internal("cannot freeze a recycled string pool"));
         }
-        pool
+        StrArena::from_strings(self.strings.iter().map(|s| &**s), self.payload)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (StrId, &str)> {
@@ -119,6 +123,62 @@ impl StringPool {
             .iter()
             .enumerate()
             .map(move |(i, s)| (StrId(base + i as u32), &**s))
+    }
+}
+
+/// A frozen [`StringPool`]: every string in one buffer, string `i`
+/// spanning `offsets[i]..offsets[i + 1]`. What a finished document keeps.
+#[derive(Debug, Clone)]
+pub struct StrArena {
+    bytes: String,
+    offsets: Vec<u32>,
+}
+
+impl StrArena {
+    /// An arena of `strings` in order, so string `i` gets `StrId(i)`.
+    /// `payload` is their total length, to size the buffer exactly.
+    pub fn from_strings<'s>(
+        strings: impl ExactSizeIterator<Item = &'s str>,
+        payload: usize,
+    ) -> Result<StrArena> {
+        let too_big = || Error::limit("document strings exceed the 4 GiB arena");
+        if u32::try_from(payload).is_err() {
+            return Err(too_big());
+        }
+        let mut arena = StrArena {
+            bytes: String::with_capacity(payload),
+            offsets: Vec::with_capacity(strings.len() + 1),
+        };
+        arena.offsets.push(0);
+        for s in strings {
+            arena.bytes.push_str(s);
+            arena
+                .offsets
+                .push(u32::try_from(arena.bytes.len()).map_err(|_| too_big())?);
+        }
+        Ok(arena)
+    }
+
+    pub fn get(&self, id: StrId) -> &str {
+        let i = id.0 as usize;
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total bytes of string payload.
+    pub fn payload_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = (StrId, &str)> {
+        (0..self.len() as u32).map(|i| (StrId(i), self.get(StrId(i))))
     }
 }
 
@@ -165,6 +225,25 @@ mod tests {
         assert_eq!(p.get(b), "fresh");
         assert_ne!(a, b);
         assert!(std::panic::catch_unwind(|| p.get(a)).is_err());
+    }
+
+    #[test]
+    fn freeze_keeps_every_id() {
+        let mut p = StringPool::new();
+        let ids: Vec<_> = ["b", "", "日本", "b", "tail"]
+            .iter()
+            .map(|s| p.intern(s))
+            .collect();
+        let payload = p.payload_bytes();
+        let frozen = p.clone().freeze().unwrap();
+        assert_eq!(frozen.len(), p.len());
+        assert_eq!(frozen.payload_bytes(), payload);
+        for id in ids {
+            assert_eq!(frozen.get(id), p.get(id));
+        }
+        assert!(frozen.iter().eq(p.iter()));
+        p.recycle();
+        assert!(p.freeze().is_err());
     }
 
     #[test]

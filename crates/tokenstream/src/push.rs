@@ -118,7 +118,7 @@ impl PushTokenizer {
             }
             match self.reader.poll_event() {
                 Ok(Some(ev)) => {
-                    if event_to_tokens(&ev, &self.names, &mut self.pool, &mut self.queue) {
+                    if event_to_tokens(ev, &self.names, &mut self.pool, &mut self.queue) {
                         self.done = true;
                     }
                     self.peak_queued = self.peak_queued.max(self.queue.len());

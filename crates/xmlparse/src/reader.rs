@@ -94,8 +94,9 @@ pub struct XmlReader<'a> {
     ns: Vec<(Option<Arc<str>>, Arc<str>)>,
     started: bool,
     finished: bool,
-    /// Pending EndElement to emit after an empty-element tag.
-    pending_end: Option<QName>,
+    /// An empty-element tag's EndElement is still to be emitted (its
+    /// frame stays open until then).
+    pending_end: bool,
     seen_root: bool,
     /// Hard nesting cap; always enforced (see [`DEFAULT_MAX_DEPTH`]).
     max_depth: usize,
@@ -126,7 +127,7 @@ impl<'a> XmlReader<'a> {
             ns: Vec::new(),
             started: false,
             finished: false,
-            pending_end: None,
+            pending_end: false,
             seen_root: false,
             max_depth: DEFAULT_MAX_DEPTH,
             guard: None,
@@ -251,8 +252,9 @@ impl<'a> XmlReader<'a> {
             self.skip_prolog()?;
             return Ok(XmlEvent::StartDocument);
         }
-        if let Some(name) = self.pending_end.take() {
-            self.pop_element();
+        if self.pending_end {
+            self.pending_end = false;
+            let name = self.pop_element();
             return Ok(XmlEvent::EndElement { name });
         }
         if self.finished {
@@ -520,7 +522,7 @@ impl<'a> XmlReader<'a> {
 
     fn read_start_tag(&mut self) -> Result<XmlEvent> {
         let raw_name = self.read_name()?;
-        let mut raw_attrs: Vec<(Range<usize>, String)> = Vec::new();
+        let mut raw_attrs: Vec<(Range<usize>, Arc<str>)> = Vec::new();
         let mut decls: Vec<NamespaceDecl> = Vec::new();
         loop {
             let ws_start = self.pos;
@@ -563,10 +565,7 @@ impl<'a> XmlReader<'a> {
                         }
                     };
                     match binding {
-                        Some(prefix) => decls.push(NamespaceDecl {
-                            prefix,
-                            uri: Arc::from(value.as_str()),
-                        }),
+                        Some(prefix) => decls.push(NamespaceDecl { prefix, uri: value }),
                         None => raw_attrs.push((attr_name, value)),
                     }
                 }
@@ -578,7 +577,7 @@ impl<'a> XmlReader<'a> {
     fn finish_start_tag(
         &mut self,
         raw_name: Range<usize>,
-        raw_attrs: Vec<(Range<usize>, String)>,
+        raw_attrs: Vec<(Range<usize>, Arc<str>)>,
         decls: Vec<NamespaceDecl>,
         empty: bool,
     ) -> Result<XmlEvent> {
@@ -607,8 +606,8 @@ impl<'a> XmlReader<'a> {
         }
         let name = self.resolve_range(raw_name, false)?;
         let mut attributes = Vec::with_capacity(raw_attrs.len());
-        for (an, av) in &raw_attrs {
-            let qn = self.resolve_range(an.clone(), true)?;
+        for (an, value) in raw_attrs {
+            let qn = self.resolve_range(an, true)?;
             if attributes.iter().any(|a: &Attribute| a.name == qn) {
                 return Err(Error::new(
                     ErrorCode::DuplicateAttribute,
@@ -616,18 +615,12 @@ impl<'a> XmlReader<'a> {
                 )
                 .at(self.base + self.pos));
             }
-            attributes.push(Attribute {
-                name: qn,
-                value: Arc::from(av.as_str()),
-            });
+            attributes.push(Attribute { name: qn, value });
         }
-        if empty {
-            self.pending_end = Some(name.clone());
-            // The frame is popped when the pending end is delivered.
-            self.open.push((name.clone(), decls.len()));
-        } else {
-            self.open.push((name.clone(), decls.len()));
-        }
+        // An empty element's frame is popped when its pending end is
+        // delivered.
+        self.pending_end = empty;
+        self.open.push((name.clone(), decls.len()));
         Ok(XmlEvent::StartElement {
             name,
             attributes,
@@ -636,29 +629,31 @@ impl<'a> XmlReader<'a> {
         })
     }
 
-    fn pop_element(&mut self) {
-        if let Some((_, n_decls)) = self.open.pop() {
-            for _ in 0..n_decls {
-                self.ns.pop();
-            }
-        }
+    /// Close the innermost open element, dropping the namespace bindings
+    /// it pushed, and hand back its name.
+    fn pop_element(&mut self) -> QName {
+        let (name, n_decls) = self.open.pop().expect("an element is open");
+        self.ns.truncate(self.ns.len() - n_decls);
+        name
     }
 
+    /// An end tag closes the innermost open element when it spells that
+    /// element's start-tag name byte for byte; the frame's resolved name
+    /// is reused, so no name is resolved or allocated here.
     fn read_end_tag(&mut self) -> Result<XmlEvent> {
         let raw_name = self.read_name()?;
         self.skip_ws();
         self.expect(">")?;
-        let name = self.resolve_range(raw_name, false)?;
+        let raw = &self.src()[raw_name];
         match self.open.last() {
-            Some((open_name, _)) if *open_name == name => {
-                self.pop_element();
+            Some((open_name, _)) if spells(open_name, raw) => {
+                let name = self.pop_element();
                 Ok(XmlEvent::EndElement { name })
             }
             Some((open_name, _)) => Err(self.err(format!(
-                "mismatched end tag: expected </{}>, found </{}>",
-                open_name, name
+                "mismatched end tag: expected </{open_name}>, found </{raw}>"
             ))),
-            None => Err(self.err(format!("unmatched end tag </{name}>"))),
+            None => Err(self.err(format!("unmatched end tag </{raw}>"))),
         }
     }
 
@@ -671,6 +666,34 @@ impl<'a> XmlReader<'a> {
         // pass entirely. The scan hint makes repeated probes O(new bytes).
         if !self.eof && self.find("<").is_none() {
             return Err(self.need());
+        }
+        // Fast path: a run with no reference, carriage return or "]]>"
+        // is its own value, one copy straight from the buffer.
+        let start = self.pos;
+        let rest = &self.bytes()[start..];
+        let mut end = 0;
+        let plain = loop {
+            match rest[end..]
+                .iter()
+                .position(|&b| matches!(b, b'<' | b'&' | b'\r' | b']'))
+            {
+                None => {
+                    end = rest.len();
+                    break true;
+                }
+                Some(i) => {
+                    end += i;
+                    match rest[end] {
+                        b'<' => break true,
+                        b']' if !rest[end..].starts_with(b"]]>") => end += 1,
+                        _ => break false,
+                    }
+                }
+            }
+        };
+        if plain {
+            self.pos = start + end;
+            return Ok(XmlEvent::Text(Arc::from(&self.src()[start..self.pos])));
         }
         let mut out = String::new();
         loop {
@@ -698,7 +721,7 @@ impl<'a> XmlReader<'a> {
                 }
             }
         }
-        Ok(XmlEvent::Text(normalize_newlines(&out).into()))
+        Ok(XmlEvent::Text(normalize_newlines(&out)))
     }
 
     fn read_entity(&mut self) -> Result<String> {
@@ -735,7 +758,7 @@ impl<'a> XmlReader<'a> {
         }
     }
 
-    fn read_attr_value(&mut self) -> Result<String> {
+    fn read_attr_value(&mut self) -> Result<Arc<str>> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => {
                 self.pos += 1;
@@ -744,6 +767,19 @@ impl<'a> XmlReader<'a> {
             None if !self.eof => return Err(self.need()),
             _ => return Err(self.err("expected quoted attribute value")),
         };
+        // Fast path: a value with nothing to expand or normalize is one
+        // copy straight from the buffer.
+        let start = self.pos;
+        let rest = &self.bytes()[start..];
+        if let Some(i) = rest
+            .iter()
+            .position(|&b| b == quote || matches!(b, b'&' | b'<' | b'\t' | b'\n' | b'\r'))
+        {
+            if rest[i] == quote {
+                self.pos = start + i + 1;
+                return Ok(Arc::from(&self.src()[start..start + i]));
+            }
+        }
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -791,7 +827,7 @@ impl<'a> XmlReader<'a> {
                 }
             }
         }
-        Ok(out)
+        Ok(Arc::from(out))
     }
 
     fn read_comment(&mut self) -> Result<XmlEvent> {
@@ -807,7 +843,7 @@ impl<'a> XmlReader<'a> {
         }
         let text = normalize_newlines(&self.src()[self.pos..end]);
         self.pos = end + 3;
-        Ok(XmlEvent::Comment(text.into()))
+        Ok(XmlEvent::Comment(text))
     }
 
     fn read_cdata(&mut self) -> Result<XmlEvent> {
@@ -819,7 +855,7 @@ impl<'a> XmlReader<'a> {
             .ok_or_else(|| self.err_or_need("unterminated CDATA section"))?;
         let text = normalize_newlines(&self.src()[self.pos..end]);
         self.pos = end + 3;
-        Ok(XmlEvent::Text(text.into()))
+        Ok(XmlEvent::Text(text))
     }
 
     fn read_pi(&mut self) -> Result<XmlEvent> {
@@ -831,8 +867,7 @@ impl<'a> XmlReader<'a> {
             .find("?>")
             .ok_or_else(|| self.err_or_need("unterminated PI"))?;
         let target: Arc<str> = Arc::from(&self.src()[target]);
-        let data: Arc<str> =
-            Arc::from(normalize_newlines(self.src()[self.pos..end].trim_start()).as_str());
+        let data = normalize_newlines(self.src()[self.pos..end].trim_start());
         self.pos = end + 2;
         Ok(XmlEvent::ProcessingInstruction { target, data })
     }
@@ -975,11 +1010,26 @@ impl XmlReader<'static> {
 }
 
 /// XML 1.0 end-of-line handling: `\r\n` and `\r` become `\n`.
-fn normalize_newlines(s: &str) -> String {
+fn normalize_newlines(s: &str) -> Arc<str> {
     if !s.contains('\r') {
-        return s.to_string();
+        return Arc::from(s);
     }
-    s.replace("\r\n", "\n").replace('\r', "\n")
+    Arc::from(s.replace("\r\n", "\n").replace('\r', "\n"))
+}
+
+/// Is `raw` the lexical form of `name` (`prefix:local`, or `local` when
+/// the name was written without a prefix)?
+fn spells(name: &QName, raw: &str) -> bool {
+    let local = name.local_name();
+    match name.prefix() {
+        None => raw == local,
+        Some(p) => {
+            raw.len() == p.len() + 1 + local.len()
+                && raw.starts_with(p)
+                && raw.as_bytes()[p.len()] == b':'
+                && raw.ends_with(local)
+        }
+    }
 }
 
 pub fn is_name_start(c: char) -> bool {
@@ -1205,6 +1255,16 @@ mod tests {
         assert!(parse_events("<a>]]></a>").is_err());
         assert!(parse_events("<a b=<c>/>").is_err());
         assert!(parse_events(r#"<a b="x<y"/>"#).is_err());
+        // End tags match the start tag's spelling, not just its expanded
+        // name.
+        assert!(parse_events(r#"<p:a xmlns:p="u" xmlns:q="u"></q:a>"#).is_err());
+        assert!(parse_events("<a></x:a>").is_err());
+    }
+
+    #[test]
+    fn plain_and_general_text_runs_agree() {
+        let evs = parse_events("<a>x]y]]z<b/>&amp;\r\n]</a>").unwrap();
+        assert_eq!(texts(&evs), vec!["x]y]]z", "&\n]"]);
     }
 
     #[test]
@@ -1373,6 +1433,8 @@ mod tests {
             "<a b=\"x\r\ny\"/>",
             "<s>The great <title>P</title> Even facts</s>",
             " <a/> \n<!-- after -->\n<?pi data?> ",
+            "<a>x]y]]z<b/>&amp;\r\n]</a>",
+            r#"<p:a xmlns:p="urn:p" p:k='v' j="w&#x41;">t</p:a>"#,
         ] {
             assert_split_invariant(doc);
         }
@@ -1395,6 +1457,8 @@ mod tests {
             "<x:a/>",
             "<a><![CDATA[never closed</a>",
             "<a><?pi never closed</a>",
+            r#"<p:a xmlns:p="u" xmlns:q="u"></q:a>"#,
+            "<a></x:a>",
         ] {
             assert_split_invariant(doc);
         }
